@@ -75,8 +75,8 @@ bench-quant:
 bench-cluster:
 	go run ./cmd/apds-bench -cluster -results results
 
-# The sequence benchmark: conv/RNN/GRU moment-propagation paths plus the
-# exact-vs-PWL activation backend cost-parity measurement, recorded as
+# The sequence benchmark: conv/RNN/GRU moment-propagation paths plus dense
+# rectifier nets on the exact activation backend, recorded as
 # results/BENCH_seq.json (the committed artifact). `tools/benchdiff` diffs a
 # fresh run against it in check.sh.
 bench-seq:

@@ -433,32 +433,14 @@ var (
 	NewGRUEstimator = rnn.NewGRUEstimator
 )
 
-// MomentMode selects the activation-moment backend a layer is propagated
-// with: MomentsAuto (exact for rectifiers, PWL otherwise), MomentsPWL, or
-// MomentsExact. Settable per layer, per propagator (Options), and per
-// registry model ("activation_moments" in the manifest).
-type MomentMode = nn.MomentMode
-
-// Activation-moment backend modes.
-const (
-	// MomentsAuto defers to the default: exact for rectifiers, PWL else.
-	MomentsAuto = nn.MomentsAuto
-	// MomentsPWL forces the piecewise-linear closed form.
-	MomentsPWL = nn.MomentsPWL
-	// MomentsExact forces the exact analytical moments (rectifiers only;
-	// a build error elsewhere).
-	MomentsExact = nn.MomentsExact
-)
-
-// Exact rectified-Gaussian moments and the manifest-string parser.
+// Exact rectified-Gaussian moments: the backend ReLU and leaky-ReLU layers
+// are propagated with (tanh, sigmoid and identity use the PWL closed form).
 var (
 	// RectifiedMoments returns the exact mean and variance of
 	// max(0, X) for X ~ N(mu, sigma²).
 	RectifiedMoments = stats.RectifiedMoments
 	// LeakyRectifiedMoments is the leaky-ReLU generalization.
 	LeakyRectifiedMoments = stats.LeakyRectifiedMoments
-	// ParseMomentMode converts "auto" | "pwl" | "exact" to a MomentMode.
-	ParseMomentMode = nn.ParseMomentMode
 )
 
 // Streaming inference re-exports (internal/stream).

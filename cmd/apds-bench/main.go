@@ -52,7 +52,7 @@ func run(args []string) error {
 	registryBench := fs.Bool("registry", false, "benchmark registry serving under continuous hot-swap/reload/shadow (writes BENCH_registry.json)")
 	compileBench := fs.Bool("compile", false, "benchmark the load-time compiled propagator vs the interpreted one, plus a hot-reload-while-serving measurement (writes BENCH_compile.json)")
 	quantBench := fs.Bool("quant", false, "benchmark the int8 fixed-point propagator vs the float paths, plus model-size and Edison projections (writes BENCH_quant.json)")
-	seqBench := fs.Bool("seq", false, "benchmark the conv/RNN/GRU sequence moment paths and exact-vs-PWL activation backend parity (writes BENCH_seq.json)")
+	seqBench := fs.Bool("seq", false, "benchmark the conv/RNN/GRU sequence moment paths and the exact activation backend on dense rectifier nets (writes BENCH_seq.json)")
 	clusterBench := fs.Bool("cluster", false, "benchmark the sharded multi-replica serving tier under open-loop load (writes BENCH_cluster.json)")
 	sessionsBench := fs.Bool("sessions", false, "benchmark the resident session fleet: create/ingest/window throughput, snapshot/restore, idle churn (writes BENCH_stream.json)")
 	sessionCount := fs.Int("session-count", 1_000_000, "with -sessions: resident sessions to hold")

@@ -17,16 +17,12 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
-// seqDenseEntry is the exact-versus-PWL cost-parity row of BENCH_seq.json:
-// the same rectifier network propagated under both activation backends. The
-// backends compute the same function (proven bit-tight in proptest), so
-// this records that choosing exact costs nothing — the acceptance criterion
-// for defaulting rectifiers to the exact closed form.
+// seqDenseEntry is one dense row of BENCH_seq.json: a rectifier network
+// propagated per sample on the backend its activation picks, the exact
+// closed form.
 type seqDenseEntry struct {
 	Network          string  `json:"network"`
 	ExactNsPerSample float64 `json:"exact_ns_per_sample"`
-	PWLNsPerSample   float64 `json:"pwl_ns_per_sample"`
-	ExactVsPWLRatio  float64 `json:"exact_vs_pwl_ratio"`
 }
 
 // seqPathEntry is one sequence-workload row: the conv, Elman, and GRU
@@ -50,22 +46,21 @@ type seqBenchReport struct {
 	Paths      []seqPathEntry  `json:"sequence_paths"`
 }
 
-// emitSeqBench measures (a) exact-versus-PWL activation backend cost parity
-// on dense rectifier reference nets and (b) the conv/RNN/GRU sequence
-// moment-propagation paths. Results print as a table and land in
-// BENCH_seq.json under dir.
+// emitSeqBench measures (a) the exact activation backend on dense rectifier
+// reference nets and (b) the conv/RNN/GRU sequence moment-propagation
+// paths. Results print as a table and land in BENCH_seq.json under dir.
 func emitSeqBench(dir string) error {
 	rep := seqBenchReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
 	tbl := &report.Table{
-		Title:   "Sequence paths and exact-vs-PWL activation backend",
+		Title:   "Sequence paths and the exact activation backend",
 		Headers: []string{"path", "shape", "µs/sample", "ns/step", "samples/s"},
 	}
 	rng := rand.New(rand.NewSource(11))
 
-	// --- Dense cost parity: same weights, both backends. ---
+	// --- Dense rectifier nets on the exact backend. ---
 	for _, cfg := range []struct {
 		name   string
 		hidden []int
@@ -86,28 +81,20 @@ func emitSeqBench(dir string) error {
 			g.Mean[i] = rng.NormFloat64()
 			g.Var[i] = rng.Float64()
 		}
-		perMode := map[nn.MomentMode]float64{}
-		for _, mode := range []nn.MomentMode{nn.MomentsExact, nn.MomentsPWL} {
-			prop, err := core.NewPropagator(net, core.Options{ActivationMoments: mode})
-			if err != nil {
-				return fmt.Errorf("seq bench: %w", err)
-			}
-			perMode[mode] = timePerBatch(func() error {
-				_, err := prop.PropagateFrom(g.Clone())
-				return err
-			})
+		prop, err := core.NewPropagator(net, core.Options{})
+		if err != nil {
+			return fmt.Errorf("seq bench: %w", err)
 		}
 		e := seqDenseEntry{
-			Network:          cfg.name,
-			ExactNsPerSample: perMode[nn.MomentsExact],
-			PWLNsPerSample:   perMode[nn.MomentsPWL],
-			ExactVsPWLRatio:  perMode[nn.MomentsExact] / perMode[nn.MomentsPWL],
+			Network: cfg.name,
+			ExactNsPerSample: timePerBatch(func() error {
+				_, err := prop.PropagateFrom(g.Clone())
+				return err
+			}),
 		}
 		rep.Dense = append(rep.Dense, e)
 		tbl.AddRow("dense/exact", cfg.name, fmt.Sprintf("%.1f", e.ExactNsPerSample/1e3), "-",
 			fmt.Sprintf("%.0f", 1e9/e.ExactNsPerSample))
-		tbl.AddRow("dense/pwl", cfg.name, fmt.Sprintf("%.1f", e.PWLNsPerSample/1e3), "-",
-			fmt.Sprintf("%.0f", 1e9/e.PWLNsPerSample))
 	}
 
 	// --- Conv path. ---
@@ -152,10 +139,6 @@ func emitSeqBench(dir string) error {
 		_, err := cell.PropagateMoments(xs)
 		return err
 	})
-	cellProp, err := cell.NewProp()
-	if err != nil {
-		return err
-	}
 	cellCost, err := rnn.NewEstimator(cell, rnnSteps, 0)
 	if err != nil {
 		return err
@@ -164,7 +147,7 @@ func emitSeqBench(dir string) error {
 		Path: "rnn-cell", Shape: "8-64-4 relu", Steps: rnnSteps,
 		NsPerSample: cellNs, NsPerStep: cellNs / rnnSteps, SamplesPerSec: 1e9 / cellNs,
 		DenseFLOPs: cellCost.Cost().DenseFLOPs, ElementOps: cellCost.Cost().ElementOps,
-		MomentsBackend: map[bool]string{true: "exact", false: "pwl"}[cellProp.MomentsExact()],
+		MomentsBackend: "exact",
 	})
 
 	// --- GRU path. ---
@@ -190,11 +173,6 @@ func emitSeqBench(dir string) error {
 	for _, e := range rep.Paths {
 		tbl.AddRow(e.Path, e.Shape, fmt.Sprintf("%.1f", e.NsPerSample/1e3),
 			fmt.Sprintf("%.0f", e.NsPerStep), fmt.Sprintf("%.0f", e.SamplesPerSec))
-	}
-	for _, d := range rep.Dense {
-		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
-			"%s: exact/PWL cost ratio %.2fx (parity by construction: both are O(1) closed forms per unit)",
-			d.Network, d.ExactVsPWLRatio))
 	}
 
 	text, err := tbl.Render()

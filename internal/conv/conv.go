@@ -89,9 +89,6 @@ type Conv1D struct {
 	Act nn.Activation
 	// KeepProb is the channel keep probability (1 = no dropout).
 	KeepProb float64
-	// Moments selects the activation-moment backend for this layer
-	// (auto resolves to the exact closed form for rectifiers).
-	Moments nn.MomentMode
 }
 
 // NewConv1D builds a Glorot-initialized layer.

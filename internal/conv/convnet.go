@@ -23,7 +23,7 @@ type Net struct {
 	// acts/kernels cache each conv layer's PWL activation and its
 	// activation-moment kernel, resolved once through core.KernelFor so
 	// the conv stack obeys the same backend dispatch (exact rectifier
-	// closed form by default, PWL otherwise) as the dense propagator.
+	// closed form, PWL otherwise) as the dense propagator.
 	acts    []*piecewise.Func
 	kernels []*core.ActKernel
 	prop    *core.Propagator
@@ -33,15 +33,6 @@ type Net struct {
 // under default options. The head's input dimension must equal the last
 // conv layer's OutCh.
 func NewNet(convs []*Conv1D, head *nn.Network) (*Net, error) {
-	return NewNetOpts(convs, head, core.Options{})
-}
-
-// NewNetOpts is NewNet with explicit propagation options. The options'
-// ActivationMoments is the default backend for conv layers whose own
-// Moments field is MomentsAuto, exactly mirroring how nn.Layer.Moments
-// interacts with the dense propagator; the head propagator is built from
-// the same options.
-func NewNetOpts(convs []*Conv1D, head *nn.Network, opts core.Options) (*Net, error) {
 	if len(convs) == 0 {
 		return nil, fmt.Errorf("no conv layers: %w", ErrConfig)
 	}
@@ -66,18 +57,14 @@ func NewNetOpts(convs []*Conv1D, head *nn.Network, opts core.Options) (*Net, err
 		kernels: make([]*core.ActKernel, len(convs)),
 	}
 	for i, c := range convs {
-		mode := c.Moments
-		if mode == nn.MomentsAuto {
-			mode = opts.ActivationMoments
-		}
-		f, k, err := core.KernelFor(c.Act, mode, opts)
+		f, k, err := core.KernelFor(c.Act, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("conv layer %d: %w", i, err)
 		}
 		n.acts[i] = f
 		n.kernels[i] = k
 	}
-	prop, err := core.NewPropagator(head, opts)
+	prop, err := core.NewPropagator(head, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("head propagator: %w", err)
 	}
@@ -97,10 +84,6 @@ func (n *Net) Convs() []*Conv1D {
 	copy(out, n.convs)
 	return out
 }
-
-// MomentsExact reports whether conv layer i serves the exact analytical
-// activation-moment backend.
-func (n *Net) MomentsExact(i int) bool { return n.kernels[i].Exact() }
 
 // Forward runs the deterministic (weight-scaled) pass end to end.
 func (n *Net) Forward(x *Seq) (tensor.Vector, error) {

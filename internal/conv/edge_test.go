@@ -118,16 +118,15 @@ func TestConvMomentsShapeValidation(t *testing.T) {
 }
 
 // TestConvKernelDispatch pins backend resolution through the conv stack:
-// rectifier layers serve the exact closed form by default, an explicit PWL
-// request overrides it, and exact on tanh is a construction error.
+// the activation alone picks it — exact closed form for rectifier layers,
+// PWL for tanh and identity.
 func TestConvKernelDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	mk := func(act nn.Activation, mode nn.MomentMode) *Conv1D {
-		l, err := NewConv1D(2, 2, 3, 1, act, 0.8, rng)
+	mk := func(inCh int, act nn.Activation) *Conv1D {
+		l, err := NewConv1D(2, inCh, 3, 1, act, 0.8, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.Moments = mode
 		return l
 	}
 	head, err := nn.New(nn.Config{
@@ -138,47 +137,21 @@ func TestConvKernelDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNet([]*Conv1D{mk(nn.ActReLU, nn.MomentsAuto), mk2(t, rng, 3, nn.ActLeakyReLU, nn.MomentsAuto), mk2(t, rng, 3, nn.ActTanh, nn.MomentsAuto)}, head)
+	acts := []nn.Activation{nn.ActReLU, nn.ActLeakyReLU, nn.ActTanh, nn.ActIdentity}
+	convs := []*Conv1D{mk(2, acts[0])}
+	for _, act := range acts[1:] {
+		convs = append(convs, mk(3, act))
+	}
+	net, err := NewNet(convs, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !net.MomentsExact(0) || !net.MomentsExact(1) {
-		t.Error("rectifier conv layers should default to exact moments")
+	for i, act := range acts {
+		_, rect := act.Rectifier()
+		if net.kernels[i].Exact() != rect {
+			t.Errorf("conv layer %d (%v): exact = %v, want %v", i, act, net.kernels[i].Exact(), rect)
+		}
 	}
-	if net.MomentsExact(2) {
-		t.Error("tanh conv layer must serve PWL moments")
-	}
-
-	// Explicit PWL override on a rectifier layer.
-	net, err = NewNet([]*Conv1D{mk(nn.ActReLU, nn.MomentsPWL), mk2(t, rng, 3, nn.ActReLU, nn.MomentsAuto), mk2(t, rng, 3, nn.ActIdentity, nn.MomentsAuto)}, head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if net.MomentsExact(0) {
-		t.Error("explicit PWL request ignored on conv layer 0")
-	}
-	if !net.MomentsExact(1) {
-		t.Error("auto rectifier layer 1 should be exact")
-	}
-	if net.MomentsExact(2) {
-		t.Error("identity layer must use the (already exact) PWL kernel")
-	}
-
-	// Exact on tanh is a construction error.
-	if _, err := NewNet([]*Conv1D{mk(nn.ActTanh, nn.MomentsExact), mk2(t, rng, 3, nn.ActReLU, nn.MomentsAuto), mk2(t, rng, 3, nn.ActIdentity, nn.MomentsAuto)}, head); err == nil {
-		t.Error("exact moments on tanh conv layer should fail construction")
-	}
-}
-
-// mk2 builds a conv layer with a given input channel count (for stacking).
-func mk2(t *testing.T, rng *rand.Rand, inCh int, act nn.Activation, mode nn.MomentMode) *Conv1D {
-	t.Helper()
-	l, err := NewConv1D(2, inCh, 3, 1, act, 0.8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Moments = mode
-	return l
 }
 
 // TestConvPWLWrapperBitIdentical pins that the PWL-typed PropagateMoments

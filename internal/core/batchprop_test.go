@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/apdeepsense/apdeepsense/internal/nn"
+	"github.com/apdeepsense/apdeepsense/internal/piecewise"
 	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
@@ -180,41 +181,38 @@ func TestPropagateBatchErrors(t *testing.T) {
 // adjacent pieces must not change a single output, including the point-mass
 // fast path and near-zero variances.
 func TestActivationKernelExact(t *testing.T) {
-	// Tanh, ReLU, and sigmoid hidden kernels plus the identity output kernel.
-	nets := []*nn.Network{
-		buildTestNet(t, nn.ActTanh, 0.8, 2),
-		buildTestNet(t, nn.ActReLU, 0.8, 2),
-		buildTestNet(t, nn.ActSigmoid, 0.8, 2),
+	// The PWL kernels of every activation, built directly: the propagator
+	// serves rectifiers through the exact backend (pinned to its own closed
+	// form in exact_test.go), so the 2-piece PWL ReLU and leaky-ReLU kernels
+	// are only reachable here.
+	tanh, err := piecewise.Tanh(7)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sigmoid, err := piecewise.Sigmoid(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := []*piecewise.Func{tanh, piecewise.ReLU(), piecewise.LeakyReLU(nn.LeakyAlpha), sigmoid, piecewise.Identity()}
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range nets {
-		// Force the PWL backend: this test pins the PWL kernel to the scalar
-		// PWL reference; the exact rectifier backend (the ReLU default) is
-		// pinned to its own closed form in exact_test.go.
-		prop, err := NewPropagator(n, Options{ActivationMoments: nn.MomentsPWL})
-		if err != nil {
-			t.Fatal(err)
+	for fi, f := range funcs {
+		ak := NewActKernel(f)
+		bounds := make([]stats.Boundary, f.NumPieces()+1)
+		pms := make([]stats.PartialMoments, f.NumPieces()+1)
+		check := func(mu, variance float64) {
+			t.Helper()
+			wantM, wantV := ActivationMoments(mu, variance, f)
+			gotM, gotV := ak.Moments(mu, variance, bounds, pms)
+			if gotM != wantM || gotV != wantV {
+				t.Fatalf("func %d mu=%v var=%v: kernel (%v, %v) != reference (%v, %v)",
+					fi, mu, variance, gotM, gotV, wantM, wantV)
+			}
 		}
-		bounds := make([]stats.Boundary, prop.maxBounds)
-		pms := make([]stats.PartialMoments, prop.maxBounds)
-		for li := range n.Layers() {
-			ak := prop.kernels[li]
-			f := prop.acts[li]
-			check := func(mu, variance float64) {
-				t.Helper()
-				wantM, wantV := ActivationMoments(mu, variance, f)
-				gotM, gotV := ak.Moments(mu, variance, bounds, pms)
-				if gotM != wantM || gotV != wantV {
-					t.Fatalf("layer %d mu=%v var=%v: kernel (%v, %v) != reference (%v, %v)",
-						li, mu, variance, gotM, gotV, wantM, wantV)
-				}
-			}
-			for _, cs := range [][2]float64{{0, 0}, {2.5, 0}, {-1, 1e-30}, {0.3, 1e-12}, {40, 9}, {-40, 9}} {
-				check(cs[0], cs[1])
-			}
-			for trial := 0; trial < 300; trial++ {
-				check(rng.NormFloat64()*4, rng.Float64()*6)
-			}
+		for _, cs := range [][2]float64{{0, 0}, {2.5, 0}, {-1, 1e-30}, {0.3, 1e-12}, {40, 9}, {-40, 9}} {
+			check(cs[0], cs[1])
+		}
+		for trial := 0; trial < 300; trial++ {
+			check(rng.NormFloat64()*4, rng.Float64()*6)
 		}
 	}
 }

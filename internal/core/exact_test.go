@@ -28,8 +28,8 @@ func TestExactKernelDispatch(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		for li, l := range net.Layers() {
 			_, rect := l.Act.Rectifier()
-			if prop.MomentsExact(li) != rect {
-				t.Fatalf("layer %d (%v): MomentsExact = %v, want %v", li, l.Act, prop.MomentsExact(li), rect)
+			if prop.kernels[li].Exact() != rect {
+				t.Fatalf("layer %d (%v): exact = %v, want %v", li, l.Act, prop.kernels[li].Exact(), rect)
 			}
 			if !rect {
 				continue
@@ -111,32 +111,6 @@ func gb2From(xs []tensor.Vector, dim int, t *testing.T) GaussianBatch {
 		t.Fatal(err)
 	}
 	return gb
-}
-
-// TestExactModeErrors: requesting exact moments for an activation without a
-// closed form must fail at construction, both propagator-wide and per-layer.
-func TestExactModeErrors(t *testing.T) {
-	net := buildTestNet(t, nn.ActTanh, 0.9, 3)
-	if _, err := NewPropagator(net, Options{ActivationMoments: nn.MomentsExact}); err == nil {
-		t.Fatal("propagator-wide exact on tanh: want error")
-	}
-	net.Layers()[0].Moments = nn.MomentsExact
-	if _, err := NewPropagator(net, Options{}); err == nil {
-		t.Fatal("per-layer exact on tanh: want error")
-	}
-	// Per-layer PWL must override a propagator-wide exact default silently.
-	relu := buildTestNet(t, nn.ActReLU, 0.9, 3)
-	relu.Layers()[0].Moments = nn.MomentsPWL
-	prop, err := NewPropagator(relu, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prop.MomentsExact(0) {
-		t.Error("layer 0 forced PWL but resolved exact")
-	}
-	if !prop.MomentsExact(1) {
-		t.Error("layer 1 auto ReLU should resolve exact")
-	}
 }
 
 // TestReLUMomentsCrossCheck: the pre-existing ReLUMoments helper (the naive

@@ -8,15 +8,14 @@ import (
 )
 
 // KernelFor resolves one activation to its PWL representation and its
-// activation-moment kernel under the given mode — the single source of truth
-// for moment-backend dispatch, shared by the dense propagator and the
-// sequence paths (internal/conv, internal/rnn). MomentsAuto resolves to the
-// exact analytical backend for the rectifier family and the PWL closed form
-// for everything else; MomentsExact on an activation without a closed form
-// (tanh, sigmoid) is an error. opts supplies the PWL piece counts (zero
-// values take the paper's defaults); its own ActivationMoments field is NOT
-// consulted — pass the already-resolved mode.
-func KernelFor(act nn.Activation, mode nn.MomentMode, opts Options) (*piecewise.Func, *ActKernel, error) {
+// activation-moment kernel — the single source of truth for moment-backend
+// dispatch, shared by the dense propagator and the sequence paths
+// (internal/conv, internal/rnn). The activation alone picks the backend: the
+// exact analytical moments for the rectifier family (ReLU, leaky-ReLU, where
+// the closed form is tail-accurate and cheaper than the 2-piece PWL), the PWL
+// closed form for everything else. opts supplies the PWL piece counts (zero
+// values take the paper's defaults).
+func KernelFor(act nn.Activation, opts Options) (*piecewise.Func, *ActKernel, error) {
 	opts.fillDefaults()
 	var (
 		f   *piecewise.Func
@@ -39,20 +38,12 @@ func KernelFor(act nn.Activation, mode nn.MomentMode, opts Options) (*piecewise.
 	if err != nil {
 		return nil, nil, err
 	}
-	_, rect := act.Rectifier()
-	switch {
-	case mode == nn.MomentsExact && !rect && act != nn.ActIdentity:
-		return nil, nil, fmt.Errorf("no exact moment form for %v: %w", act, ErrInput)
-	case rect && mode != nn.MomentsPWL:
-		// Exact is the rectifier default (MomentsAuto) and the explicit
-		// request; the PWL identity kernel is already exact for identity
-		// layers, so only rectifiers dispatch to the closed form.
-		k, kerr := NewExactActKernel(f)
-		if kerr != nil {
-			return nil, nil, kerr
+	if _, rect := act.Rectifier(); rect {
+		k, err := NewExactActKernel(f)
+		if err != nil {
+			return nil, nil, err
 		}
 		return f, k, nil
-	default:
-		return f, NewActKernel(f), nil
 	}
+	return f, NewActKernel(f), nil
 }

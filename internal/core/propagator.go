@@ -27,8 +27,8 @@ const (
 	// moment backend (stats.RectifiedMoments): two erfc, one exp, and the
 	// surrounding arithmetic — the same transcendental mix as one constant
 	// plus one linear PWL piece, which is exactly what the 2-piece rectifier
-	// PWL costs. Exact-vs-PWL cost parity for ReLU layers is by construction
-	// in the model and measured by `apds-bench -seq`.
+	// PWL costs, so exact-vs-PWL cost parity for ReLU layers holds by
+	// construction in the model.
 	OpsPerExactMoments = OpsPerConstPiece + OpsPerLinearPiece
 )
 
@@ -40,14 +40,6 @@ type Options struct {
 	// SigmoidPieces is the PWL piece count approximating sigmoid layers.
 	// Defaults to 7.
 	SigmoidPieces int
-	// ActivationMoments is the propagator-wide default activation-moment
-	// backend for layers whose own nn.Layer.Moments is MomentsAuto.
-	// MomentsAuto (the zero value) resolves to exact for the rectifier
-	// family (ReLU, leaky-ReLU — where the closed form strictly dominates
-	// the 2-piece PWL's conditioning at equal modeled cost) and PWL for
-	// everything else. MomentsExact on a tanh/sigmoid layer is a
-	// construction error.
-	ActivationMoments nn.MomentMode
 }
 
 func (o *Options) fillDefaults() {
@@ -130,11 +122,7 @@ func NewPropagator(net *nn.Network, opts Options, extra ...Option) (*Propagator,
 		maxDim:  net.InputDim(),
 	}
 	for i, l := range layers {
-		mode := l.Moments
-		if mode == nn.MomentsAuto {
-			mode = opts.ActivationMoments
-		}
-		f, k, err := KernelFor(l.Act, mode, opts)
+		f, k, err := KernelFor(l.Act, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: prepare layer %d: %w", i, err)
 		}
@@ -170,10 +158,6 @@ func (p *Propagator) Network() *nn.Network { return p.net }
 // ActivationPieces returns the PWL piece count used for layer i's
 // activation.
 func (p *Propagator) ActivationPieces(i int) int { return p.acts[i].NumPieces() }
-
-// MomentsExact reports whether layer i's activation moments are served by
-// the exact analytical rectifier backend (vs the PWL closed form).
-func (p *Propagator) MomentsExact(i int) bool { return p.kernels[i].Exact() }
 
 // Propagate runs the full ApDeepSense pass: the input point mass is pushed
 // through every layer's dropout-aware affine map (eqs. 9–10) and PWL

@@ -32,10 +32,11 @@ func (n *Network) Fingerprint() string {
 		writeU64(uint64(l.OutDim()))
 		writeU64(uint64(l.Act))
 		writeU64(math.Float64bits(l.KeepProb))
-		// The moment mode is serving-relevant state (it changes the served
-		// numbers and which compiled program a version may share), so it is
-		// fingerprinted alongside the weights.
-		writeU64(uint64(l.Moments))
+		// Models once carried a per-layer activation-moment mode here. The
+		// activation now picks the backend, but the word stays (always zero)
+		// so every existing model keeps its fingerprint, ETag and registry
+		// identity.
+		writeU64(0)
 		for _, w := range l.W.Data {
 			writeU64(math.Float64bits(w))
 		}

@@ -89,3 +89,13 @@ func TestFingerprintSurvivesRoundTrip(t *testing.T) {
 		t.Errorf("round-trip fingerprint %s != original %s", got, want)
 	}
 }
+
+// TestFingerprintGolden pins one seeded network's fingerprint to the value
+// computed while layers still carried an activation-moment mode. Registry
+// identity and served ETags derive from it, so it must not move.
+func TestFingerprintGolden(t *testing.T) {
+	const want = "5b89412c0bcb015d834b9e5ed9e585af20fad912becfb398b577843c1ed6e81e"
+	if got := fingerprintNet(t, 1).Fingerprint(); got != want {
+		t.Errorf("fingerprint = %s, want %s", got, want)
+	}
+}

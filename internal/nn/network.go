@@ -28,10 +28,6 @@ type Layer struct {
 	// KeepProb is the Bernoulli keep probability p of the dropout mask on
 	// this layer's input. 1 means no dropout.
 	KeepProb float64
-	// Moments selects the activation-moment backend for this layer
-	// (MomentsAuto defers to the propagator default). Part of the model
-	// format and the fingerprint; zero value preserves old behaviour.
-	Moments MomentMode
 }
 
 // InDim returns the layer's input dimension.
@@ -225,7 +221,6 @@ func (n *Network) Clone() *Network {
 			B:        l.B.Clone(),
 			Act:      l.Act,
 			KeepProb: l.KeepProb,
-			Moments:  l.Moments,
 		}
 	}
 	return &Network{layers: layers}

@@ -45,9 +45,10 @@ type wireLayer struct {
 	Bias          []float64
 	Act           int
 	KeepProb      float64
-	// Moments is the layer's activation-moment backend (MomentMode). gob
-	// skips unknown/missing fields, so models written before the field
-	// existed decode it as 0 (MomentsAuto) — no version bump needed.
+	// Moments is a legacy per-layer activation-moment mode: 0 auto, 1 PWL,
+	// 2 exact. The activation now picks the backend, so Save writes 0 and
+	// Load ignores the value once it has passed the checks the mode always
+	// had (see Load).
 	Moments int
 }
 
@@ -69,7 +70,6 @@ func (n *Network) Save(w io.Writer) error {
 			Bias:     append([]float64(nil), l.B...),
 			Act:      int(l.Act),
 			KeepProb: l.KeepProb,
-			Moments:  int(l.Moments),
 		}
 		wm.Layers = append(wm.Layers, wl)
 	}
@@ -100,14 +100,13 @@ func Load(r io.Reader) (*Network, error) {
 		if !act.Valid() {
 			return nil, fmt.Errorf("nn: layer %d has invalid activation %d: %w: %w", i, wl.Act, ErrModel, ErrConfig)
 		}
-		moments := MomentMode(wl.Moments)
-		if !moments.Valid() {
+		// A legacy mode outside 0..2, or exact (2) on an activation without
+		// a closed form, was never a loadable model; it still is not.
+		if wl.Moments < 0 || wl.Moments > 2 {
 			return nil, fmt.Errorf("nn: layer %d has invalid moment mode %d: %w: %w", i, wl.Moments, ErrModel, ErrConfig)
 		}
-		if moments == MomentsExact {
-			if _, ok := act.Rectifier(); !ok && act != ActIdentity {
-				return nil, fmt.Errorf("nn: layer %d requests exact moments for %v (no closed form): %w: %w", i, act, ErrModel, ErrConfig)
-			}
+		if _, rect := act.Rectifier(); wl.Moments == 2 && !rect && act != ActIdentity {
+			return nil, fmt.Errorf("nn: layer %d requests exact moments for %v (no closed form): %w: %w", i, act, ErrModel, ErrConfig)
 		}
 		if !allFinite(wl.Weights) || !allFinite(wl.Bias) {
 			return nil, fmt.Errorf("nn: layer %d has non-finite weights: %w: %w", i, ErrModel, ErrConfig)
@@ -119,7 +118,6 @@ func Load(r io.Reader) (*Network, error) {
 			B:        append(tensor.Vector(nil), wl.Bias...),
 			Act:      act,
 			KeepProb: wl.KeepProb,
-			Moments:  moments,
 		})
 	}
 	net, err := FromLayers(layers)

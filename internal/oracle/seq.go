@@ -89,9 +89,9 @@ type ConvRef struct {
 	a1, a2 []float64
 }
 
-// NewConvRef builds the conv reference. opts must match the options the
-// fast Net was constructed with (piece counts only; the moment-backend mode
-// is irrelevant to the oracle, which always quadratures the fit).
+// NewConvRef builds the conv reference. opts supplies the PWL piece counts
+// and must match the fast Net's, which conv.NewNet takes from the defaults;
+// the oracle quadratures the fit whichever backend the fast path serves.
 func NewConvRef(n *conv.Net, opts core.Options) (*ConvRef, error) {
 	convs := n.Convs()
 	head, err := NewRef(n.Head(), opts, false)

@@ -39,52 +39,48 @@ func genRectNet(rng *rand.Rand) *nn.Network {
 	return net
 }
 
-// TestExactVsOracleForcedModes holds BOTH activation backends — forced
-// exact and forced PWL — on the same rectifier networks to the same
-// quadrature oracle and conditioning budget. The two backends compute the
-// same function (ReLU is piecewise linear, so the 2-piece fit is not an
-// approximation), so each must independently satisfy the RelTight contract.
+// TestExactVsOracleForcedModes holds the activation backend rectifier
+// networks are served on — the exact closed form — to the quadrature oracle
+// and conditioning budget under the RelTight contract, on both the
+// point-mass and the Gaussian entry points.
 func TestExactVsOracleForcedModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for iter := 0; iter < 80; iter++ {
 		net := genRectNet(rng)
 		x := GenInput(rng, net.InputDim())
 		g := GenGaussian(rng, net.InputDim())
-		for _, mode := range []nn.MomentMode{nn.MomentsExact, nn.MomentsPWL} {
-			opts := core.Options{ActivationMoments: mode}
-			prop, err := core.NewPropagator(net, opts)
-			if err != nil {
-				t.Fatalf("iter %d mode %v: %v", iter, mode, err)
+		prop, err := core.NewPropagator(net, core.Options{})
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		ref, err := oracle.NewRef(net, core.Options{}, false)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		got, err := prop.Propagate(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, cond, err := ref.ForwardCond(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if finite(want) {
+			if err := CompareVec(got, want, RelTight, cond); err != nil {
+				t.Errorf("iter %d Propagate: %v", iter, err)
 			}
-			ref, err := oracle.NewRef(net, opts, false)
-			if err != nil {
-				t.Fatalf("iter %d mode %v: %v", iter, mode, err)
-			}
-			got, err := prop.Propagate(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, cond, err := ref.ForwardCond(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if finite(want) {
-				if err := CompareVec(got, want, RelTight, cond); err != nil {
-					t.Errorf("iter %d mode %v Propagate: %v", iter, mode, err)
-				}
-			}
-			gotFrom, err := prop.PropagateFrom(g.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantFrom, condFrom, err := ref.ForwardFromCond(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if finite(wantFrom) {
-				if err := CompareVec(gotFrom, wantFrom, RelTight, condFrom); err != nil {
-					t.Errorf("iter %d mode %v PropagateFrom: %v", iter, mode, err)
-				}
+		}
+		gotFrom, err := prop.PropagateFrom(g.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFrom, condFrom, err := ref.ForwardFromCond(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if finite(wantFrom) {
+			if err := CompareVec(gotFrom, wantFrom, RelTight, condFrom); err != nil {
+				t.Errorf("iter %d PropagateFrom: %v", iter, err)
 			}
 		}
 	}
@@ -97,7 +93,7 @@ func TestExactBitIdenticalAcrossPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for iter := 0; iter < 25; iter++ {
 		net := genRectNet(rng)
-		prop, err := core.NewPropagator(net, core.Options{ActivationMoments: nn.MomentsExact})
+		prop, err := core.NewPropagator(net, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

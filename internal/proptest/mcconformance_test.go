@@ -68,7 +68,7 @@ func TestMCConformanceExactDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ap, err := core.NewApDeepSense(net, core.Options{ActivationMoments: nn.MomentsExact}, 0)
+				ap, err := core.NewApDeepSense(net, core.Options{}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,9 +11,10 @@ import (
 )
 
 // TestConvVsOracle holds the conv fast path — strided Conv1D moment
-// recursion, global average pooling, dense head, with per-layer exact/PWL
-// backends mixed in by the generator — to the naive sequence oracle within
-// RelTight plus the a-priori conditioning budget. No hand-tuned epsilons.
+// recursion, global average pooling, dense head, with exact rectifier and
+// PWL tanh/sigmoid layers mixed by the generator — to the naive sequence
+// oracle within RelTight plus the a-priori conditioning budget. No
+// hand-tuned epsilons.
 func TestConvVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for iter := 0; iter < 120; iter++ {

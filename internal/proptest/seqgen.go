@@ -41,9 +41,8 @@ func genHead(rng *rand.Rand, inDim int) *nn.Network {
 
 // GenConvNet draws a random hybrid conv network — 1–3 conv layers with
 // small channel counts, kernels 1–3, strides 1–4 (covering stride > kernel),
-// the full activation set including leaky-ReLU, keep probabilities with the
-// dropout-free corner, and occasional per-layer PWL overrides on rectifier
-// layers — plus a dense head. Returns the net and a valid input step count.
+// the full activation set including leaky-ReLU, and keep probabilities with
+// the dropout-free corner — plus a dense head. Returns the net and a valid input step count.
 func GenConvNet(rng *rand.Rand) (*conv.Net, int) {
 	nLayers := 1 + rng.Intn(3)
 	acts := []nn.Activation{nn.ActReLU, nn.ActLeakyReLU, nn.ActTanh, nn.ActSigmoid, nn.ActIdentity}
@@ -60,9 +59,6 @@ func GenConvNet(rng *rand.Rand) (*conv.Net, int) {
 		l, err := conv.NewConv1D(kernel, ch, outCh, stride, acts[rng.Intn(len(acts))], keep, rng)
 		if err != nil {
 			panic("proptest: conv generator produced invalid config: " + err.Error())
-		}
-		if _, rect := l.Act.Rectifier(); rect && rng.Intn(4) == 0 {
-			l.Moments = nn.MomentsPWL
 		}
 		convs[i] = l
 		ch = outCh
@@ -99,8 +95,7 @@ func GenSeqVectors(rng *rand.Rand, steps, dim int) []tensor.Vector {
 }
 
 // GenCell draws a random Elman cell: small dims, tanh/rectifier/sigmoid
-// recurrences, keep probabilities with the dropout-free corner, occasional
-// PWL override on rectifier recurrences.
+// recurrences, keep probabilities with the dropout-free corner.
 func GenCell(rng *rand.Rand) *rnn.Cell {
 	acts := []nn.Activation{nn.ActTanh, nn.ActTanh, nn.ActReLU, nn.ActLeakyReLU, nn.ActSigmoid}
 	keep := 0.5 + 0.5*rng.Float64()
@@ -111,9 +106,6 @@ func GenCell(rng *rand.Rand) *rnn.Cell {
 		acts[rng.Intn(len(acts))], keep, rng)
 	if err != nil {
 		panic("proptest: cell generator produced invalid config: " + err.Error())
-	}
-	if _, rect := c.Act.Rectifier(); rect && rng.Intn(4) == 0 {
-		c.Moments = nn.MomentsPWL
 	}
 	return c
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/apdeepsense/apdeepsense/internal/compile"
 	"github.com/apdeepsense/apdeepsense/internal/core"
-	"github.com/apdeepsense/apdeepsense/internal/nn"
 )
 
 // defaultCompileMaxBatch mirrors serve.Config.MaxBatch's default: the
@@ -15,20 +14,16 @@ import (
 const defaultCompileMaxBatch = 64
 
 // compileKey identifies one compiled program. Fingerprint covers the weights,
-// dimensions, activations, keep probabilities, and per-layer moment modes;
-// maxBatch fixes the unrolled panel sweep and scratch sizing; the PWL piece
-// counts cover the activation knots baked into the fused closures; moments is
-// the model-level activation-moment default (SetActivationMoments / the
-// manifest's "activation_moments"), which changes how MomentsAuto layers
-// resolve and therefore the program's arithmetic without touching the
-// fingerprint. Two versions agreeing on all of these produce bit-identical
-// programs, so they can share one.
+// dimensions, activations (which also pick each layer's activation-moment
+// backend), and keep probabilities; maxBatch fixes the unrolled panel sweep
+// and scratch sizing; the PWL piece counts cover the activation knots baked
+// into the fused closures. Two versions agreeing on all of these produce
+// bit-identical programs, so they can share one.
 type compileKey struct {
 	fingerprint   string
 	maxBatch      int
 	tanhPieces    int
 	sigmoidPieces int
-	moments       nn.MomentMode
 }
 
 // compileEntry is one refcounted cache slot. ready closes when the build
@@ -116,7 +111,7 @@ func (c *compileCache) size() int {
 // warmed against this version's own propagator even on a cache hit: warming
 // is the bit-identity self-check, and routability is gated on it passing.
 // Returns the cache-release func for the version to call on retire.
-func (r *Registry) compileFor(id string, ap *core.ApDeepSense, fp string, moments nn.MomentMode) (func(), error) {
+func (r *Registry) compileFor(id string, ap *core.ApDeepSense, fp string) (func(), error) {
 	maxBatch := r.cfg.Serve.MaxBatch
 	if maxBatch == 0 {
 		maxBatch = defaultCompileMaxBatch
@@ -126,7 +121,6 @@ func (r *Registry) compileFor(id string, ap *core.ApDeepSense, fp string, moment
 		maxBatch:      maxBatch,
 		tanhPieces:    r.cfg.Options.TanhPieces,
 		sigmoidPieces: r.cfg.Options.SigmoidPieces,
-		moments:       moments,
 	}
 	prop := ap.Propagator()
 	prog, release, hit, err := r.compiles.acquire(key, func() (*compile.Program, error) {

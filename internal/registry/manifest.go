@@ -106,17 +106,11 @@ type ManifestModel struct {
 	// only versions added after the change — bump a version's id to rebuild
 	// it under the new setting (VersionStatus.Quantized always reports what
 	// a standing version actually serves).
-	Quantized bool `json:"quantized,omitempty"`
-	// ActivationMoments selects the model's activation-moment backend
-	// default: "auto" (or empty — exact for rectifiers, PWL otherwise),
-	// "pwl", or "exact" (a build error for models with tanh/sigmoid layers;
-	// see nn.MomentMode). Like Quantized it applies at build time — flipping
-	// it on a reload affects versions added after the change.
-	ActivationMoments string            `json:"activation_moments,omitempty"`
-	Versions          []ManifestVersion `json:"versions"`
-	Current           string            `json:"current"`
-	Canary            *ManifestCanary   `json:"canary,omitempty"`
-	Shadow            string            `json:"shadow,omitempty"`
+	Quantized bool              `json:"quantized,omitempty"`
+	Versions  []ManifestVersion `json:"versions"`
+	Current   string            `json:"current"`
+	Canary    *ManifestCanary   `json:"canary,omitempty"`
+	Shadow    string            `json:"shadow,omitempty"`
 }
 
 // ManifestVersion names one serialized model file.
@@ -145,9 +139,6 @@ func (man *Manifest) Validate() error {
 		names[m.Name] = true
 		if m.ObsVar < 0 {
 			return fmt.Errorf("model %q: obs_var %v < 0: %w", m.Name, m.ObsVar, ErrManifest)
-		}
-		if _, err := nn.ParseMomentMode(m.ActivationMoments); err != nil {
-			return fmt.Errorf("model %q: %v: %w", m.Name, err, ErrManifest)
 		}
 		if len(m.Versions) == 0 {
 			return fmt.Errorf("model %q: no versions: %w", m.Name, ErrManifest)
@@ -265,14 +256,6 @@ func (r *Registry) applyModel(mm ManifestModel, baseDir string) error {
 		return err
 	}
 	if err := r.SetQuantized(mm.Name, mm.Quantized); err != nil {
-		return err
-	}
-	moments, err := nn.ParseMomentMode(mm.ActivationMoments)
-	if err != nil {
-		// Unreachable after Validate; kept for direct applyModel callers.
-		return fmt.Errorf("registry: model %q: %v: %w", mm.Name, err, ErrManifest)
-	}
-	if err := r.SetActivationMoments(mm.Name, moments); err != nil {
 		return err
 	}
 	declared := make(map[string]bool, len(mm.Versions))

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -328,5 +330,46 @@ func TestApplyRejectsUnreadableModelFile(t *testing.T) {
 	defer closeRegistry(t, r)
 	if err := r.Apply(man, dir); err == nil {
 		t.Fatal("want error applying manifest with missing model file")
+	}
+}
+
+// TestManifestLegacyActivationMoments: manifests written while the
+// activation-moment backend was selectable may still carry
+// "activation_moments". The key is ignored like any unknown key, so a
+// rectifier model declared "pwl" loads and serves the exact moments its
+// activation picks, bit-identical to a directly built estimator.
+func TestManifestLegacyActivationMoments(t *testing.T) {
+	dir := t.TempDir()
+	writeModel(t, dir, "a.model", 1)
+	manPath := filepath.Join(dir, "registry.json")
+	legacy := `{"models": [{"name": "demo", "activation_moments": "pwl",
+		"versions": [{"id": "v1", "path": "a.model"}], "current": "v1"}]}`
+	if err := os.WriteFile(manPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := New(Config{})
+	defer closeRegistry(t, r)
+	if _, err := NewLoader(r, manPath).Reload(true); err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Vector{0.5, -1, 2}
+	got, _, err := r.Predict(context.Background(), "demo", "k", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.NewApDeepSense(testNet(t, 1), core.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Mean {
+		if math.Float64bits(got.Mean[i]) != math.Float64bits(want.Mean[i]) ||
+			math.Float64bits(got.Var[i]) != math.Float64bits(want.Var[i]) {
+			t.Errorf("dim %d: served (%v, %v) != direct (%v, %v)",
+				i, got.Mean[i], got.Var[i], want.Mean[i], want.Var[i])
+		}
 	}
 }

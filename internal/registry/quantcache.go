@@ -13,11 +13,10 @@ import (
 // dimensions, activations, and keep probabilities; the PWL piece counts cover
 // the activation knots the dequantized moments feed into. There is no
 // maxBatch component — quantized programs are batch-size-agnostic (per-row
-// scratch), so any batch the coalescer flushes is covered. There is also no
-// moment-mode component: the fixed-point path always serves the PWL forms
-// (its accuracy contract is the oracle's quantization budget, which dwarfs
-// the exact-vs-PWL conditioning difference), so versions differing only in
-// activation_moments share one quantized program.
+// scratch), so any batch the coalescer flushes is covered. The fixed-point
+// path serves the PWL forms for every activation, rectifiers included (its
+// accuracy contract is the oracle's quantization budget, which dwarfs the
+// exact-vs-PWL conditioning difference).
 type quantKey struct {
 	fingerprint   string
 	tanhPieces    int

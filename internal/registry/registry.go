@@ -159,11 +159,6 @@ type model struct {
 	// quantized opts versions of this model into the fixed-point serving
 	// path (applies to versions added from when it is set, like obsVar).
 	quantized bool
-	// moments is the model-level activation-moment backend default applied
-	// to versions added from when it is set (SetActivationMoments / the
-	// manifest's "activation_moments"). MomentsAuto defers to the
-	// registry-wide Config.Options.ActivationMoments.
-	moments nn.MomentMode
 
 	mu       sync.Mutex
 	versions map[string]*Version
@@ -295,15 +290,11 @@ func (r *Registry) addVersion(modelName, id string, net *nn.Network, est core.Es
 	}
 	obsVar := m.obsVar
 	quantized := m.quantized || r.cfg.EnableQuantized
-	moments := m.moments
-	if moments == nn.MomentsAuto {
-		moments = r.cfg.Options.ActivationMoments
-	}
 	m.mu.Unlock()
 
 	// Build and warm outside the model lock: loading big models must not
 	// stall the serving path's mutations.
-	v, err := r.buildVersion(id, net, obsVar, quantized, moments, est)
+	v, err := r.buildVersion(id, net, obsVar, quantized, est)
 	if err != nil {
 		return nil, err
 	}
@@ -374,36 +365,14 @@ func (r *Registry) SetQuantized(modelName string, enabled bool) error {
 	return nil
 }
 
-// SetActivationMoments sets the activation-moment backend default (see
-// nn.MomentMode) for versions of the named model added from now on:
-// layers whose own Moments field is MomentsAuto resolve against it.
-// Like obsVar and quantized, existing versions keep the backend they were
-// built with. MomentsExact on a model containing tanh/sigmoid layers
-// surfaces as an AddVersion build error.
-func (r *Registry) SetActivationMoments(modelName string, mode nn.MomentMode) error {
-	if !mode.Valid() {
-		return fmt.Errorf("invalid moment mode %d: %w", int(mode), ErrRegistry)
-	}
-	m, err := r.ensureModelKeepObsVar(modelName)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.moments = mode
-	m.mu.Unlock()
-	return nil
-}
-
 // buildVersion assembles estimator + pool, specializes the propagator
 // (quantized and/or compiled program), and runs the warmup inference.
 // Everything here happens before registration — off the serving path — so a
 // hot reload specializes and warms while the displaced version keeps serving.
-func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quantized bool, moments nn.MomentMode, est core.Estimator) (*Version, error) {
+func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quantized bool, est core.Estimator) (*Version, error) {
 	var releaseCompiled, releaseQuantized func()
 	if est == nil {
-		opts := r.cfg.Options
-		opts.ActivationMoments = moments
-		ap, err := core.NewApDeepSense(net, opts, obsVar)
+		ap, err := core.NewApDeepSense(net, r.cfg.Options, obsVar)
 		if err != nil {
 			return nil, fmt.Errorf("registry: version %s: %w", id, err)
 		}
@@ -424,7 +393,7 @@ func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quan
 		// so compiling underneath it would be dead weight; compile only when
 		// the version actually serves on the float path.
 		if releaseQuantized == nil && !r.cfg.DisableCompile {
-			releaseCompiled, err = r.compileFor(id, ap, net.Fingerprint(), moments)
+			releaseCompiled, err = r.compileFor(id, ap, net.Fingerprint())
 			if err != nil {
 				return nil, err
 			}

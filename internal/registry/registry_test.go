@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/apdeepsense/apdeepsense/internal/conv"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/obs"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
@@ -442,6 +444,70 @@ func TestHashFractionRange(t *testing.T) {
 		}
 		if f != hashFraction(k) {
 			t.Errorf("hashFraction(%q) not deterministic", k)
+		}
+	}
+}
+
+// TestServeConvEstimator registers the conv sequence estimator through
+// AddVersionEstimator and serves it: the sequence paths are first-class
+// registry citizens, and served responses stay bit-identical to direct
+// estimator calls.
+func TestServeConvEstimator(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	c1, err := conv.NewConv1D(3, 2, 6, 2, nn.ActReLU, 0.9, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := nn.New(nn.Config{
+		InputDim: 6, Hidden: []int{8}, OutputDim: 2,
+		Activation: nn.ActReLU, OutputActivation: nn.ActIdentity,
+		KeepProb: 0.9, Seed: 73,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnet, err := conv.NewNet([]*conv.Conv1D{c1}, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 11
+	est, err := conv.NewEstimator(cnet, steps, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The registry's all-ones warmup probes net.InputDim() inputs — the
+	// dense head's shape, not the sequence estimator's flattened steps ×
+	// channels contract — so sequence estimators register with warmup off.
+	r := New(Config{SkipWarmup: true})
+	defer closeRegistry(t, r)
+	if _, err := r.AddVersionEstimator("conv", "v1", head, est); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetRoutes("conv", "v1", "", 0, ""); err != nil {
+		t.Fatal(err)
+	}
+
+	x := make(tensor.Vector, steps*2)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	got, served, err := r.Predict(context.Background(), "conv", "req", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Version != "v1" {
+		t.Fatalf("served %q, want v1", served.Version)
+	}
+	want, err := est.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Mean {
+		if math.Float64bits(got.Mean[i]) != math.Float64bits(want.Mean[i]) ||
+			math.Float64bits(got.Var[i]) != math.Float64bits(want.Var[i]) {
+			t.Errorf("dim %d: served (%v, %v) != direct (%v, %v)",
+				i, got.Mean[i], got.Var[i], want.Mean[i], want.Var[i])
 		}
 	}
 }

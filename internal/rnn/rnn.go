@@ -49,9 +49,6 @@ type Cell struct {
 	Act nn.Activation
 	// KeepProb is the recurrent-state keep probability.
 	KeepProb float64
-	// Moments selects the activation-moment backend for the recurrence
-	// (auto resolves to the exact closed form for rectifiers).
-	Moments nn.MomentMode
 }
 
 // NewCell builds a Glorot-initialized cell.
@@ -164,7 +161,7 @@ func (c *Cell) checkSeq(xs []tensor.Vector) error {
 
 // CellProp is a prepared moment propagator for one Cell: the squared weight
 // matrices, the resolved activation-moment kernel (exact closed form for
-// rectifier recurrences by default, PWL otherwise — the same dispatch as the
+// rectifier recurrences, PWL otherwise — the same dispatch as the
 // dense propagator, via core.KernelFor), and reusable scratch. Build once
 // per trained cell with Cell.NewProp; Step/Readout are the first-class
 // step-level propagation API the differential harness exercises.
@@ -184,8 +181,7 @@ type CellProp struct {
 
 // NewProp prepares moment propagation for the cell's current weights.
 func (c *Cell) NewProp() (*CellProp, error) {
-	mode := c.Moments
-	_, ak, err := core.KernelFor(c.Act, mode, core.Options{})
+	_, ak, err := core.KernelFor(c.Act, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("rnn: %w", err)
 	}
@@ -201,10 +197,6 @@ func (c *Cell) NewProp() (*CellProp, error) {
 		pms:      make([]stats.PartialMoments, ak.NumBounds()),
 	}, nil
 }
-
-// MomentsExact reports whether the recurrence serves the exact analytical
-// activation-moment backend.
-func (p *CellProp) MomentsExact() bool { return p.ak.Exact() }
 
 // Step advances the hidden-state moments one timestep in place:
 //

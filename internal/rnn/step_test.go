@@ -127,38 +127,29 @@ func TestGRUStepBitIdenticalToFull(t *testing.T) {
 }
 
 // TestCellExactDispatch pins the moment-backend resolution for recurrences:
-// rectifier cells default to the exact closed form, explicit PWL overrides,
-// tanh stays PWL, exact-on-tanh errors.
+// the activation alone picks it — exact closed form for rectifier cells,
+// PWL for tanh.
 func TestCellExactDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	mk := func(act nn.Activation, mode nn.MomentMode) *Cell {
-		c, err := NewCell(2, 4, 1, act, 0.9, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Moments = mode
-		return c
-	}
 	for _, tc := range []struct {
 		act   nn.Activation
-		mode  nn.MomentMode
 		exact bool
 	}{
-		{nn.ActReLU, nn.MomentsAuto, true},
-		{nn.ActLeakyReLU, nn.MomentsAuto, true},
-		{nn.ActReLU, nn.MomentsPWL, false},
-		{nn.ActTanh, nn.MomentsAuto, false},
+		{nn.ActReLU, true},
+		{nn.ActLeakyReLU, true},
+		{nn.ActTanh, false},
 	} {
-		prop, err := mk(tc.act, tc.mode).NewProp()
+		c, err := NewCell(2, 4, 1, tc.act, 0.9, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prop.MomentsExact() != tc.exact {
-			t.Errorf("%v/%v: exact = %v, want %v", tc.act, tc.mode, prop.MomentsExact(), tc.exact)
+		prop, err := c.NewProp()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := mk(nn.ActTanh, nn.MomentsExact).NewProp(); err == nil {
-		t.Error("exact moments on tanh recurrence should fail construction")
+		if prop.ak.Exact() != tc.exact {
+			t.Errorf("%v: exact = %v, want %v", tc.act, prop.ak.Exact(), tc.exact)
+		}
 	}
 }
 

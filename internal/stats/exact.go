@@ -27,10 +27,10 @@ import "math"
 // accuracy into both tails, so the mean μΦ + σφ cancels to an absolute
 // error of order eps·φ(z)·σ — far inside the oracle's condEps·S budget.
 //
-// These are the exact-moment activation backend behind
-// core.Options.ActivationMoments / nn.MomentsExact; the PWL closed form
-// (PartialMoments over pieces) remains as the general-activation path and
-// as an independent cross-check.
+// These are the activation-moment backend every ReLU and leaky-ReLU layer is
+// propagated with (core.KernelFor picks it from the activation); the PWL
+// closed form (PartialMoments over pieces) remains as the tanh/sigmoid path
+// and as an independent cross-check.
 
 // RectifiedMoments returns the exact mean and variance of relu(X) = max(0, X)
 // for X ~ N(mu, sigma²). sigma must be positive; callers handle the σ → 0

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate, also reachable as `make check`:
-# vet, build, race-test the numeric hot paths AND the observability/serving
+# vet, build, vet and test the benchmark module (perfbench/ is its own Go
+# module, so `go build ./...` never compiles it), race-test the numeric hot paths AND the observability/serving
 # path (the metrics registry, hooks, the request coalescer, and stream gating
 # are explicitly concurrent), run the oracle-backed differential harness, give
 # each fuzz target a short smoke budget (seed corpora always replay; the extra
@@ -8,7 +9,7 @@
 # propagation benchmark with its metrics snapshot (results/BENCH_batch.json +
 # results/BENCH_obs.prom) and smoke runs of the serving and registry
 # benchmarks, and finally run the compiled-propagator, quantized-propagator,
-# and sequence-path (conv/RNN/GRU + exact-vs-PWL parity) benchmarks, a
+# and sequence-path (conv/RNN/GRU + dense exact-backend) benchmarks, a
 # 2-replica cluster smoke, and a 20k session-fleet smoke and diff each
 # against its committed trajectory with tools/benchdiff. The smoke bench runs write to a scratch directory so short
 # cells never clobber the committed results/BENCH_serve.json /
@@ -24,6 +25,10 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== perfbench: go vet + go test (separate module)"
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 echo "== go test -race (numeric hot paths)"
 go test -race ./internal/core/... ./internal/tensor/... ./internal/compile/... ./internal/qprop/... ./internal/quantize/...
@@ -93,9 +98,9 @@ go run ./tools/benchdiff -base results/BENCH_cluster.json -fresh "$smokedir/BENC
 
 echo "== apds-bench -seq + benchdiff vs committed trajectory"
 go run ./cmd/apds-bench -seq -results "$smokedir"
-# Catches a sequence fast path silently degenerating (e.g. per-element
-# alloc/abstraction creep) and the exact backend losing cost parity with the
-# PWL one, not cross-machine noise.
+# Catches a sequence fast path or the dense exact backend silently
+# degenerating (e.g. per-element alloc/abstraction creep), not cross-machine
+# noise.
 go run ./tools/benchdiff -base results/BENCH_seq.json -fresh "$smokedir/BENCH_seq.json" -tol 0.6
 
 echo "== apds-bench -sessions (smoke) + benchdiff vs committed trajectory"
