@@ -3,11 +3,11 @@
 # the oracle-backed differential harness + a fuzz smoke pass over every fuzz
 # target + the batched propagation benchmark with its metrics snapshot
 # (results/BENCH_batch.json, results/BENCH_obs.prom) + smoke runs of the
-# serving, registry, compiled-propagator, quantized-propagator, and
-# sequence-path benchmarks (the last three diffed against their committed
-# trajectories with tools/benchdiff).
+# serving, registry, quantized-propagator, and sequence-path benchmarks
+# (the last two diffed against their committed trajectories with
+# tools/benchdiff).
 
-.PHONY: check test fuzz bench bench-hooks bench-serve bench-registry bench-compile bench-quant bench-cluster bench-seq bench-sessions build
+.PHONY: check test fuzz bench bench-hooks bench-serve bench-registry bench-quant bench-cluster bench-seq bench-sessions build
 
 check:
 	./tools/check.sh
@@ -52,18 +52,10 @@ bench-serve:
 bench-registry:
 	go run ./cmd/apds-bench -registry -results results
 
-# The compiled-propagator benchmark: the load-time specialized program vs the
-# interpreted path at batch 1/8/64 plus a hot-reload-while-serving
-# measurement, recorded as results/BENCH_compile.json (the committed
-# artifact). `tools/benchdiff` diffs a fresh run against it in check.sh.
-bench-compile:
-	go run ./cmd/apds-bench -compile -results results
-
 # The quantized-propagator benchmark: the int8/int16 fixed-point path vs the
-# float interpreted and compiled paths at batch 1/8/64, plus model-size and
-# Edison cost-model projections, recorded as results/BENCH_quant.json (the
-# committed artifact). `tools/benchdiff` diffs a fresh run against it in
-# check.sh.
+# float engine at batch 1/8/64, plus model-size and Edison cost-model
+# projections, recorded as results/BENCH_quant.json (the committed
+# artifact). `tools/benchdiff` diffs a fresh run against it in check.sh.
 bench-quant:
 	go run ./cmd/apds-bench -quant -results results
 

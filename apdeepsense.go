@@ -198,25 +198,26 @@ var (
 )
 
 // Compiled-propagator re-exports (internal/compile): load-time specialization
-// of the whole network into fused per-layer closures — weights and their
-// squares pre-packed into cache-blocked panels, activation knots baked in,
-// scratch sized once. A compiled program's outputs are bit-identical to the
-// interpreted propagator (Warm proves it before installation); batch
-// propagation dispatches to it transparently once installed. The model
-// registry compiles versions automatically; direct users do:
-//
-//	prog, _ := CompileProgram(est.Propagator(), 64)
-//	_ = prog.Warm(est.Propagator()) // bit-identity self-check
-//	est.Propagator().SetCompiled(prog)
+// of the whole network into fused per-layer closures. The propagator's own
+// engine now packs the same W/W² dual panels and runs the same kernels on
+// every entry point, so a compiled program is no faster and nothing installs
+// one by default. These names remain for existing callers only.
 type (
 	// CompiledProgram is a network specialized at load time for a max batch.
+	//
+	// Deprecated: the Propagator's engine runs the same packed dual-panel
+	// kernels; use the Estimator or Propagator directly.
 	CompiledProgram = compile.Program
 	// CompiledBatch is the interface batch dispatch accepts via SetCompiled.
+	//
+	// Deprecated: see CompiledProgram.
 	CompiledBatch = core.CompiledBatch
 )
 
 // CompileProgram specializes p's network into a compiled program covering
 // batches of 1..maxBatch rows.
+//
+// Deprecated: see CompiledProgram.
 var CompileProgram = compile.Compile
 
 // Quantized propagation re-exports (internal/qprop): moment propagation run

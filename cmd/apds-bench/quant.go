@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/apdeepsense/apdeepsense/internal/compile"
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
@@ -22,16 +21,15 @@ import (
 // the coalescer's typical partial flush (8), and the full flush (64).
 var quantBenchBatches = []int{1, 8, 64}
 
-// quantBenchEntry is one batch-size row of BENCH_quant.json. Unlike the
-// compiled path, the quantized path is an approximation — its accuracy is
-// held to the oracle's a-priori quantization error budget by the proptest
-// gate, so this row is purely a performance comparison.
+// quantBenchEntry is one batch-size row of BENCH_quant.json. The quantized
+// path is an approximation — its accuracy is held to the oracle's a-priori
+// quantization error budget by the proptest gate, so this row is purely a
+// performance comparison.
 type quantBenchEntry struct {
 	Batch                  int     `json:"batch"`
 	FloatNsPerSample       float64 `json:"float_ns_per_sample"`
-	CompiledNsPerSample    float64 `json:"compiled_ns_per_sample"`
 	QuantizedNsPerSample   float64 `json:"quantized_ns_per_sample"`
-	Speedup                float64 `json:"speedup"` // float interpreted / quantized
+	Speedup                float64 `json:"speedup"` // float / quantized
 	QuantizedSamplesPerSec float64 `json:"quantized_samples_per_sec"`
 }
 
@@ -72,11 +70,10 @@ type quantBenchReport struct {
 }
 
 // emitQuantBench measures the int8 fixed-point propagator against the float
-// interpreted and compiled paths on the reference network at batch 1/8/64,
+// engine on the reference network at batch 1/8/64,
 // plus the model-size and Edison-projection comparisons. Results print as a
 // table and land in BENCH_quant.json under dir.
 func emitQuantBench(dir string) error {
-	const maxBatch = 64
 	rep := quantBenchReport{
 		Network:    "5-256-256-1",
 		KeepProb:   0.9,
@@ -95,13 +92,6 @@ func emitQuantBench(dir string) error {
 	if err != nil {
 		return fmt.Errorf("quant bench: %w", err)
 	}
-	prog, err := compile.Compile(prop, maxBatch)
-	if err != nil {
-		return fmt.Errorf("quant bench compile: %w", err)
-	}
-	if err := prog.Warm(prop); err != nil {
-		return fmt.Errorf("quant bench warm: %w", err)
-	}
 	qp, _, err := qprop.Build(net, core.Options{}, qprop.WithWorkers(1))
 	if err != nil {
 		return fmt.Errorf("quant bench quantize: %w", err)
@@ -109,7 +99,7 @@ func emitQuantBench(dir string) error {
 
 	tbl := &report.Table{
 		Title:   "Quantized vs float moment propagation (5-256-256-1, single core)",
-		Headers: []string{"batch", "float µs/sample", "compiled µs/sample", "quantized µs/sample", "speedup", "quantized samples/s"},
+		Headers: []string{"batch", "float µs/sample", "quantized µs/sample", "speedup", "quantized samples/s"},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, b := range quantBenchBatches {
@@ -118,13 +108,8 @@ func emitQuantBench(dir string) error {
 			in.Mean.Data[i] = rng.NormFloat64()
 			in.Var.Data[i] = rng.Float64()
 		}
-		interp := timePerBatch(func() error {
-			_, err := prop.PropagateBatchReference(in)
-			return err
-		})
-		prop.SetCompiled(prog)
-		compiled := timePerBatch(func() error {
-			_, err := prop.PropagateBatchFrom(in) // dispatches the compiled program
+		float := timePerBatch(func() error {
+			_, err := prop.PropagateBatchFrom(in)
 			return err
 		})
 		prop.SetQuantized(qp)
@@ -133,19 +118,16 @@ func emitQuantBench(dir string) error {
 			return err
 		})
 		prop.SetQuantized(nil)
-		prop.SetCompiled(nil)
 		e := quantBenchEntry{
 			Batch:                  b,
-			FloatNsPerSample:       interp / float64(b),
-			CompiledNsPerSample:    compiled / float64(b),
+			FloatNsPerSample:       float / float64(b),
 			QuantizedNsPerSample:   quantized / float64(b),
-			Speedup:                interp / quantized,
+			Speedup:                float / quantized,
 			QuantizedSamplesPerSec: float64(b) * 1e9 / quantized,
 		}
 		rep.Entries = append(rep.Entries, e)
 		tbl.AddRow(fmt.Sprint(b),
 			fmt.Sprintf("%.1f", e.FloatNsPerSample/1e3),
-			fmt.Sprintf("%.1f", e.CompiledNsPerSample/1e3),
 			fmt.Sprintf("%.1f", e.QuantizedNsPerSample/1e3),
 			fmt.Sprintf("%.2fx", e.Speedup),
 			fmt.Sprintf("%.0f", e.QuantizedSamplesPerSec),
@@ -174,7 +156,7 @@ func emitQuantBench(dir string) error {
 	}
 
 	tbl.Notes = append(tbl.Notes,
-		"float = PropagateBatchReference (interpreted); quantized = int8/int16 fixed-point path (accuracy held to the oracle quantization budget by proptest)",
+		"float = the float engine (PropagateBatchFrom); quantized = int8/int16 fixed-point path (accuracy held to the oracle quantization budget by proptest)",
 		fmt.Sprintf("model bytes: file %d -> %d (%.2fx of float), resident %d -> %d (%.2fx of float)",
 			rep.Size.FloatFileBytes, rep.Size.QuantFileBytes, rep.Size.FileBytesRatio,
 			rep.Size.FloatResidentBytes, rep.Size.QuantResidentBytes, rep.Size.ResidentBytesRatio),

@@ -1,20 +1,14 @@
 // Package compile specializes a whole network at load time into fused
 // per-layer closures — a compiled batch propagator for internal/core.
 //
-// The interpreted batched path (core.Propagator.PropagateBatch) is already
-// blocked and fused, but it re-derives per-layer facts on every call: it
-// wraps scratch slices in Matrix headers, dispatches two generic MulInto
-// calls per layer, re-reads the squared-weight matrix that lives apart from
-// W, and sizes pooled scratch lazily. Compile pays those costs once per
-// model instead:
+// The Propagator's own engine already runs the packed W/W² dual panels
+// (tensor.PackDual / tensor.DualMulInto) and the fused activation sweep, so
+// a compiled program no longer has an arithmetic edge; nothing in the
+// serving stack installs one. It remains as a benchmark comparison point.
+// What it still does differently:
 //
-//   - W and W² are packed into a single cache-blocked panel per layer,
-//     interleaved row-by-row over the shared dimension, so the fused dual
-//     matmul streams one contiguous buffer per k-block instead of two
-//     matrices half a heap apart.
 //   - The activation kernel, bias vector, next-layer keep probability, and
-//     layer dimensions are baked into one closure per layer; the hot loop
-//     has no interface calls, shape checks, or matrix-header construction.
+//     layer dimensions are baked into one closure per layer.
 //   - Scratch is sized exactly once, for the registered maximum batch, and
 //     recycled through a fixed free list; the steady state allocates only
 //     the result batch.
@@ -22,17 +16,17 @@
 //     so dispatch is a table lookup instead of per-call arithmetic.
 //
 // The compiled program is a specialization, not a reimplementation: every
-// output element accumulates over the shared dimension in the same ascending
-// order, through the same tensor.Axpy4 kernel, with the same zero-skips,
-// bias adds, variance clamps, and core.ActKernel moment evaluations as the
-// interpreted path. Outputs are therefore Float64bits-identical — a property
-// gated by Program.Warm at install time and by internal/proptest over random
-// networks, hostile inputs, and a fuzz corpus.
+// output element accumulates through the same tensor.DualMulInto kernel
+// over the same panel layout, with the same bias adds, variance clamps, and
+// core.ActKernel moment evaluations as the engine. Outputs are therefore
+// Float64bits-identical — a property gated by Program.Warm at install time
+// and by internal/proptest over random networks, hostile inputs, and a fuzz
+// corpus.
 //
 // One freedom the compiled path does take: its row-chunk plan is fixed at
-// compile time, while the interpreted path re-reads GOMAXPROCS per call.
-// Chunking only changes which rows share a 4-row register block, and a
-// blocked accumulator that starts at +0 can never become −0 (x+(−0) = x and
+// compile time, while the engine re-reads GOMAXPROCS per call. Chunking
+// only changes which rows share a 4-row register block, and a blocked
+// accumulator that starts at +0 can never become −0 (x+(−0) = x and
 // +0+(−0) = +0 in round-to-nearest), so for finite weight panels the chunk
 // plan is invisible in the output bits. TestCompiledChunkPlanInvariance pins
 // this.
@@ -133,7 +127,7 @@ func Compile(p *core.Propagator, maxBatch int) (*Program, error) {
 			nextKeep = layers[li+1].KeepProb
 		}
 		pg.steps = append(pg.steps, makeStep(
-			p.Kernel(li), packPanel(l.W),
+			p.Kernel(li), tensor.PackDual(l.W),
 			append([]float64(nil), l.B...),
 			l.InDim(), l.OutDim(), nextKeep, last,
 		))
@@ -177,36 +171,16 @@ func chunkPlan(b, workerBound int) []span {
 	return plan
 }
 
-// packPanel lays W and W² out as one interleaved panel: for each row kk of
-// the shared dimension, the nOut weights followed by their squares. The
-// fused dual matmul then touches one contiguous 2·nOut stripe per k-step —
-// both moments' weights arrive on the same cache lines — while each output
-// element still sees exactly the values MulInto would have read (the squares
-// are the same x*x the Propagator precomputes via Matrix.Square).
-func packPanel(w *tensor.Matrix) []float64 {
-	nIn, nOut := w.Rows, w.Cols
-	panel := make([]float64, 2*nIn*nOut)
-	for kk := 0; kk < nIn; kk++ {
-		row := w.Data[kk*nOut : (kk+1)*nOut]
-		dst := panel[kk*2*nOut:]
-		for j, wj := range row {
-			dst[j] = wj
-			dst[nOut+j] = wj * wj
-		}
-	}
-	return panel
-}
-
 // makeStep bakes one layer into a fused closure: dual-panel matmul into the
 // ping-pong scratch, then one sweep doing bias add, variance clamp,
 // activation moments, and (for all but the last layer) the next layer's
 // dropout prep — the same element-wise operation sequence as the interpreted
 // propagateRows, with every per-layer fact captured as a constant.
-func makeStep(ak *core.ActKernel, panel, bias []float64, nIn, nOut int, nextKeep float64, last bool) func(sc *scratch, rows int) {
+func makeStep(ak *core.ActKernel, panel *tensor.DualPanel, bias []float64, nIn, nOut int, nextKeep float64, last bool) func(sc *scratch, rows int) {
 	return func(sc *scratch, rows int) {
 		outMu := sc.nxtMu[:rows*nOut]
 		outVa := sc.nxtVar[:rows*nOut]
-		fusedDualMul(panel, sc.curMu[:rows*nIn], sc.curVar[:rows*nIn], outMu, outVa, rows, nIn, nOut)
+		tensor.DualMulInto(panel, sc.curMu[:rows*nIn], sc.curVar[:rows*nIn], outMu, outVa, rows)
 		for r := 0; r < rows; r++ {
 			o := outMu[r*nOut : (r+1)*nOut]
 			v := outVa[r*nOut : (r+1)*nOut][:nOut]

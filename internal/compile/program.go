@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
-	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
 // RunBatch propagates in into out along the compiled fast path. It
@@ -74,102 +73,4 @@ func (pg *Program) runChunk(in, out core.GaussianBatch, lo, hi int, h *core.Hook
 	copy(out.Mean.Data[lo*od:hi*od], sc.curMu[:rows*od])
 	copy(out.Var.Data[lo*od:hi*od], sc.curVar[:rows*od])
 	pg.putScratch(sc)
-}
-
-// fusedDualMul computes outMu = mu × W and outVa = va × W² in one pass over
-// the packed panel, replicating tensor's mulBlocked structure exactly:
-// k-blocked in tensor.KBlock tiles, 4-row register blocking through
-// tensor.Axpy4 with the all-four-zero skip, and a scalar tail loop with the
-// per-row x == 0 skip. Interleaving the two products at the k level leaves
-// every output element's accumulation in the same ascending-k order as two
-// separate MulInto calls — mean and variance elements are disjoint
-// accumulators, so their interleaving is bit-invisible — while the packed
-// layout keeps both weight rows on the cache lines the k-step just pulled.
-func fusedDualMul(panel, mu, va, outMu, outVa []float64, rows, nIn, nOut int) {
-	for i := range outMu {
-		outMu[i] = 0
-	}
-	for i := range outVa {
-		outVa[i] = 0
-	}
-	stride := 2 * nOut
-	for kb := 0; kb < nIn; kb += tensor.KBlock {
-		kEnd := kb + tensor.KBlock
-		if kEnd > nIn {
-			kEnd = nIn
-		}
-		i := 0
-		for ; i+4 <= rows; i += 4 {
-			m0 := mu[(i+0)*nIn : (i+1)*nIn]
-			m1 := mu[(i+1)*nIn : (i+2)*nIn]
-			m2 := mu[(i+2)*nIn : (i+3)*nIn]
-			m3 := mu[(i+3)*nIn : (i+4)*nIn]
-			v0 := va[(i+0)*nIn : (i+1)*nIn]
-			v1 := va[(i+1)*nIn : (i+2)*nIn]
-			v2 := va[(i+2)*nIn : (i+3)*nIn]
-			v3 := va[(i+3)*nIn : (i+4)*nIn]
-			om0 := outMu[(i+0)*nOut : (i+1)*nOut]
-			om1 := outMu[(i+1)*nOut : (i+2)*nOut]
-			om2 := outMu[(i+2)*nOut : (i+3)*nOut]
-			om3 := outMu[(i+3)*nOut : (i+4)*nOut]
-			ov0 := outVa[(i+0)*nOut : (i+1)*nOut]
-			ov1 := outVa[(i+1)*nOut : (i+2)*nOut]
-			ov2 := outVa[(i+2)*nOut : (i+3)*nOut]
-			ov3 := outVa[(i+3)*nOut : (i+4)*nOut]
-			for kk := kb; kk < kEnd; kk++ {
-				base := kk * stride
-				x0, x1, x2, x3 := m0[kk], m1[kk], m2[kk], m3[kk]
-				y0, y1, y2, y3 := v0[kk], v1[kk], v2[kk], v3[kk]
-				// The all-four-zero skips replicate mulBlocked exactly, per
-				// side; the fused kernel runs only when both sides are live
-				// (the common case), loading the panel stripe once for both
-				// moments.
-				mLive := x0 != 0 || x1 != 0 || x2 != 0 || x3 != 0
-				vLive := y0 != 0 || y1 != 0 || y2 != 0 || y3 != 0
-				switch {
-				case mLive && vLive:
-					tensor.Axpy4Dual(x0, x1, x2, x3, y0, y1, y2, y3,
-						panel[base:base+nOut], panel[base+nOut:base+stride],
-						om0, om1, om2, om3, ov0, ov1, ov2, ov3)
-				case mLive:
-					tensor.Axpy4(x0, x1, x2, x3, panel[base:base+nOut], om0, om1, om2, om3)
-				case vLive:
-					tensor.Axpy4(y0, y1, y2, y3, panel[base+nOut:base+stride], ov0, ov1, ov2, ov3)
-				}
-			}
-		}
-		for ; i < rows; i++ {
-			mi := mu[i*nIn : (i+1)*nIn]
-			vi := va[i*nIn : (i+1)*nIn]
-			omi := outMu[i*nOut : (i+1)*nOut]
-			ovi := outVa[i*nOut : (i+1)*nOut]
-			for kk := kb; kk < kEnd; kk++ {
-				base := kk * stride
-				xm, xv := mi[kk], vi[kk]
-				// Per-side zero-skips replicate mulBlocked's tail. When both
-				// moments are live (the common case), the dual kernel runs
-				// mean and variance in one vector pass — this is what makes
-				// the compiled batch-1 path faster than the interpreted one,
-				// whose tail has no single-row vector kernel.
-				if xm != 0 && xv != 0 {
-					tensor.AxpyDual(xm, xv, panel[base:base+nOut], panel[base+nOut:base+stride], omi, ovi)
-					continue
-				}
-				if xm != 0 {
-					w := panel[base : base+nOut]
-					o := omi[:len(w)]
-					for j, wj := range w {
-						o[j] += xm * wj
-					}
-				}
-				if xv != 0 {
-					w := panel[base+nOut : base+stride]
-					o := ovi[:len(w)]
-					for j, wj := range w {
-						o[j] += xv * wj
-					}
-				}
-			}
-		}
-	}
 }

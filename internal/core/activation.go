@@ -64,14 +64,6 @@ func ActivationMoments(mu, variance float64, f *piecewise.Func) (outMean, outVar
 	return outMean, outVar
 }
 
-// ActivationMomentsVec applies ActivationMoments element-wise, writing the
-// results back into g in place.
-func ActivationMomentsVec(g GaussianVec, f *piecewise.Func) {
-	for i := range g.Mean {
-		g.Mean[i], g.Var[i] = ActivationMoments(g.Mean[i], g.Var[i], f)
-	}
-}
-
 // ReLUMoments computes the exact rectified-Gaussian moments for
 // y = max(0, x), x ~ N(mu, variance). It is the closed-form special case of
 // ActivationMoments with the two-piece ReLU and exists both as a fast path

@@ -80,17 +80,17 @@ func DeterministicBatch(xs []tensor.Vector, dim int) (GaussianBatch, error) {
 
 // PropagateBatch runs the full ApDeepSense pass over a batch of plain input
 // vectors: the matrix-level counterpart of Propagate. All B inputs move
-// through each layer together — two blocked matrix–matrix multiplies per
-// layer instead of 2B matrix–vector passes — and the activation moments are
-// applied across the batch matrix with per-layer kernels that share
-// truncated-moment boundary terms between adjacent PWL pieces. Each output
-// row is value-identical to Propagate on the corresponding input.
+// through each layer together — one blocked dual-panel matrix–matrix
+// product per layer instead of 2B matrix–vector passes — and the activation
+// moments are applied across the batch matrix with per-layer kernels that
+// share truncated-moment boundary terms between adjacent PWL pieces. Each
+// output row is value-identical to Propagate on the corresponding input.
 func (p *Propagator) PropagateBatch(xs []tensor.Vector) (GaussianBatch, error) {
 	gb, err := DeterministicBatch(xs, p.net.InputDim())
 	if err != nil {
 		return GaussianBatch{}, fmt.Errorf("propagate-batch: %w", err)
 	}
-	return p.propagateBatch(gb)
+	return p.propagateBatch(gb, nil), nil
 }
 
 // PropagateBatchFrom is PropagateBatch starting from already-Gaussian inputs
@@ -100,7 +100,7 @@ func (p *Propagator) PropagateBatchFrom(gb GaussianBatch) (GaussianBatch, error)
 	if gb.Dim() != p.net.InputDim() {
 		return GaussianBatch{}, fmt.Errorf("propagate-batch-from: input dim %d, want %d: %w", gb.Dim(), p.net.InputDim(), ErrInput)
 	}
-	return p.propagateBatch(gb)
+	return p.propagateBatch(gb, nil), nil
 }
 
 // MinRowsPerWorker is the smallest row chunk worth a goroutine: below this
@@ -108,38 +108,46 @@ func (p *Propagator) PropagateBatchFrom(gb GaussianBatch) (GaussianBatch, error)
 // so internal/compile can precompute chunk plans with the same fan-out rule.
 const MinRowsPerWorker = 8
 
-// propagateBatch routes the validated batch: to the installed quantized
-// program (SetQuantized) first, else to the installed compiled program
+// propagateBatch is the one dispatch every propagation entry point goes
+// through. It routes the validated batch to the installed quantized program
+// (SetQuantized) first, else to the installed compiled program
 // (SetCompiled) when the batch fits its registered maximum, otherwise to the
-// interpreted row-chunk path. Compiled and interpreted produce
-// Float64bits-identical results; the quantized path is an approximation
-// held to the oracle's quantization error budget instead.
-func (p *Propagator) propagateBatch(gb GaussianBatch) (GaussianBatch, error) {
+// engine's row-chunk path. Compiled and engine produce Float64bits-identical
+// results; the quantized path is an approximation held to the oracle's
+// quantization error budget instead. A non-nil trace (one row, one slot per
+// layer; PropagateTrace) skips both programs, because only the engine can
+// record the per-layer states.
+func (p *Propagator) propagateBatch(gb GaussianBatch, trace []GaussianVec) GaussianBatch {
 	b := gb.Batch()
 	out := NewGaussianBatch(b, p.net.OutputDim())
 	if b == 0 {
-		return out, nil
+		return out
 	}
 	h := p.hooks.Load()
 	if h != nil && h.BatchStart != nil {
 		h.BatchStart(b)
 	}
+	if trace != nil {
+		p.propagateRows(gb, out, 0, b, h, trace)
+		return out
+	}
 	if q := p.Quantized(); q != nil && b <= q.MaxBatch() {
 		q.RunBatch(gb, out, h)
-		return out, nil
+		return out
 	}
 	if c := p.Compiled(); c != nil && b <= c.MaxBatch() {
 		c.RunBatch(gb, out, h)
-		return out, nil
+		return out
 	}
 	p.propagateInterpreted(gb, out, h)
-	return out, nil
+	return out
 }
 
-// PropagateBatchReference runs the interpreted batched path unconditionally,
-// bypassing any installed compiled program. It is the reference side of the
-// bit-identity gate: internal/compile warms new programs against it, and
-// internal/proptest compares the compiled path to it over the full corpus.
+// PropagateBatchReference runs the engine's batched path unconditionally,
+// bypassing any installed quantized or compiled program. It is the
+// reference side of the bit-identity gate: internal/compile warms new
+// programs against it, and internal/proptest compares the compiled path to
+// it over the full corpus.
 func (p *Propagator) PropagateBatchReference(gb GaussianBatch) (GaussianBatch, error) {
 	if gb.Dim() != p.net.InputDim() {
 		return GaussianBatch{}, fmt.Errorf("propagate-batch-reference: input dim %d, want %d: %w", gb.Dim(), p.net.InputDim(), ErrInput)
@@ -171,7 +179,7 @@ func (p *Propagator) propagateInterpreted(gb, out GaussianBatch, h *Hooks) {
 		workers = max
 	}
 	if workers <= 1 {
-		p.propagateRows(gb, out, 0, b, h)
+		p.propagateRows(gb, out, 0, b, h, nil)
 		return
 	}
 	chunk := (b + workers - 1) / workers
@@ -189,7 +197,7 @@ func (p *Propagator) propagateInterpreted(gb, out GaussianBatch, h *Hooks) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			p.propagateRows(gb, out, lo, hi, h)
+			p.propagateRows(gb, out, lo, hi, h, nil)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -223,15 +231,20 @@ func (s *batchScratch) ensure(n, nBounds int) {
 }
 
 // propagateRows pushes rows [lo, hi) of in through every layer, writing the
-// final Gaussians into the same rows of out. The layer step mirrors
-// DenseMoments + ActivationMomentsVec exactly: dropout-aware input moments
-// (eqs. 9–10) in place, one blocked matmul per moment, bias add, variance
-// clamp, then the PWL activation moments (eqs. 12–26) element-wise.
+// final Gaussians into the same rows of out. The layer step is DenseMoments
+// followed by the activation kernel, element for element: dropout-aware
+// input moments (eqs. 9–10), one dual-panel matmul for both moments, bias
+// add, variance clamp, then the activation moments (eqs. 12–26).
+//
+// A non-nil trace receives a copy of every layer's post-activation row
+// (rows must then be 1). That costs the untraced path one nil check per
+// layer: the traced run splits the next layer's dropout prep out of the
+// activation sweep, which leaves each element's operations unchanged.
 //
 // h is the hooks snapshot taken by propagateBatch; hooks observe timing and
 // pool reuse only and never touch the numeric state, so results are
 // bit-identical with or without them (TestPropagateBatchHookedBitIdentical).
-func (p *Propagator) propagateRows(in, out GaussianBatch, lo, hi int, h *Hooks) {
+func (p *Propagator) propagateRows(in, out GaussianBatch, lo, hi int, h *Hooks, trace []GaussianVec) {
 	rows := hi - lo
 	sc := p.scratch.Get().(*batchScratch)
 	if h != nil && h.ScratchGet != nil {
@@ -239,27 +252,13 @@ func (p *Propagator) propagateRows(in, out GaussianBatch, lo, hi int, h *Hooks) 
 	}
 	sc.warm = true
 	sc.ensure(rows*p.maxDim, p.maxBounds)
-
 	dim := in.Dim()
 	copy(sc.curMu[:rows*dim], in.Mean.Data[lo*dim:hi*dim])
 	copy(sc.curVar[:rows*dim], in.Var.Data[lo*dim:hi*dim])
-
 	layers := p.net.Layers()
-
-	// Input moments of the first layer under its dropout mask (eq. 9–10
-	// prep): E[x z] = μp, Var[x z] = (μ²+σ²)p − μ²p². For every later layer
-	// this prep is fused into the previous layer's activation sweep below.
-	{
-		keep := layers[0].KeepProb
-		mu := sc.curMu[:rows*dim]
-		va := sc.curVar[:rows*dim]
-		for t, m := range mu {
-			s2 := va[t]
-			mu[t] = m * keep
-			va[t] = (m*m+s2)*keep - m*m*keep*keep
-		}
-	}
-
+	// For every later layer the dropout prep is fused into the previous
+	// layer's activation sweep below.
+	dropoutPrep(sc.curMu[:rows*dim], sc.curVar[:rows*dim], layers[0].KeepProb)
 	timed := h != nil && h.LayerTime != nil
 	var t0 time.Time
 	for li, l := range layers {
@@ -267,67 +266,75 @@ func (p *Propagator) propagateRows(in, out GaussianBatch, lo, hi int, h *Hooks) 
 			t0 = time.Now()
 		}
 		nIn, nOut := l.InDim(), l.OutDim()
-
-		curMu := &tensor.Matrix{Rows: rows, Cols: nIn, Data: sc.curMu[:rows*nIn]}
-		curVar := &tensor.Matrix{Rows: rows, Cols: nIn, Data: sc.curVar[:rows*nIn]}
-		nxtMu := &tensor.Matrix{Rows: rows, Cols: nOut, Data: sc.nxtMu[:rows*nOut]}
-		nxtVar := &tensor.Matrix{Rows: rows, Cols: nOut, Data: sc.nxtVar[:rows*nOut]}
-
-		// Mean panel X_mu W and variance panel X_var W². Shapes are
-		// guaranteed by construction.
-		if err := curMu.MulInto(l.W, nxtMu); err != nil {
-			panic(fmt.Sprintf("core: batch mean matmul layer %d: %v", li, err))
-		}
-		if err := curVar.MulInto(p.wsq[li], nxtVar); err != nil {
-			panic(fmt.Sprintf("core: batch variance matmul layer %d: %v", li, err))
-		}
-
-		// One fused sweep over the panel: bias add, the variance clamp for
-		// floating-point cancellation (exactly as DenseMoments), the PWL
-		// activation moments (eqs. 12–26), and — for all but the last layer
-		// — the next layer's dropout prep. Fusing keeps each element's
-		// operation sequence identical to the separate passes while touching
-		// the panel once instead of four times.
+		mu, va := sc.nxtMu[:rows*nOut], sc.nxtVar[:rows*nOut]
+		tensor.DualMulInto(p.panels[li], sc.curMu[:rows*nIn], sc.curVar[:rows*nIn], mu, va, rows)
 		ak := p.kernels[li]
-		nextKeep := math.NaN()
-		if li+1 < len(layers) {
-			nextKeep = layers[li+1].KeepProb
-		}
-		for r := 0; r < rows; r++ {
-			o := nxtMu.Data[r*nOut : (r+1)*nOut]
-			v := nxtVar.Data[r*nOut : (r+1)*nOut][:nOut]
-			if li+1 < len(layers) {
-				for j, bj := range l.B {
-					s2 := v[j]
-					if s2 < 0 {
-						s2 = 0
-					}
-					m, mv := ak.Moments(o[j]+bj, s2, sc.bounds, sc.pms)
-					o[j] = m * nextKeep
-					v[j] = (m*m+mv)*nextKeep - m*m*nextKeep*nextKeep
-				}
-			} else {
-				for j, bj := range l.B {
-					s2 := v[j]
-					if s2 < 0 {
-						s2 = 0
-					}
-					o[j], v[j] = ak.Moments(o[j]+bj, s2, sc.bounds, sc.pms)
+		if li+1 < len(layers) && trace == nil {
+			ak.activate(l.B, mu, va, layers[li+1].KeepProb, sc)
+		} else {
+			ak.activate(l.B, mu, va, math.NaN(), sc)
+			if trace != nil {
+				trace[li] = GaussianVec{Mean: tensor.Vector(mu).Clone(), Var: tensor.Vector(va).Clone()}
+				if li+1 < len(layers) {
+					dropoutPrep(mu, va, layers[li+1].KeepProb)
 				}
 			}
 		}
-
 		sc.curMu, sc.nxtMu = sc.nxtMu, sc.curMu
 		sc.curVar, sc.nxtVar = sc.nxtVar, sc.curVar
 		if timed {
 			h.LayerTime(li, rows, time.Since(t0))
 		}
 	}
-
 	outDim := out.Dim()
 	copy(out.Mean.Data[lo*outDim:hi*outDim], sc.curMu[:rows*outDim])
 	copy(out.Var.Data[lo*outDim:hi*outDim], sc.curVar[:rows*outDim])
 	p.scratch.Put(sc)
+}
+
+// dropoutPrep replaces input moments in place by the moments of x·z under
+// the layer's Bernoulli(keep) dropout mask z: E[x z] = μp,
+// Var[x z] = (μ²+σ²)p − μ²p².
+func dropoutPrep(mu, va []float64, keep float64) {
+	for t, m := range mu {
+		s2 := va[t]
+		mu[t] = m * keep
+		va[t] = (m*m+s2)*keep - m*m*keep*keep
+	}
+}
+
+// activate is one fused sweep over a layer's rows×len(bias) matmul output,
+// in place: bias add, the variance clamp for floating-point cancellation
+// (exactly as DenseMoments), the activation moments, and — unless nextKeep
+// is NaN — the next layer's dropout prep. Fusing keeps each element's
+// operation sequence identical to the separate passes while touching the
+// panel once instead of four times.
+func (ak *ActKernel) activate(bias, mu, va []float64, nextKeep float64, sc *batchScratch) {
+	n := len(bias)
+	prep := !math.IsNaN(nextKeep)
+	for r := 0; r < len(mu); r += n {
+		o := mu[r : r+n]
+		v := va[r : r+n][:n]
+		if prep {
+			for j, bj := range bias {
+				s2 := v[j]
+				if s2 < 0 {
+					s2 = 0
+				}
+				m, mv := ak.Moments(o[j]+bj, s2, sc.bounds, sc.pms)
+				o[j] = m * nextKeep
+				v[j] = (m*m+mv)*nextKeep - m*m*nextKeep*nextKeep
+			}
+		} else {
+			for j, bj := range bias {
+				s2 := v[j]
+				if s2 < 0 {
+					s2 = 0
+				}
+				o[j], v[j] = ak.Moments(o[j]+bj, s2, sc.bounds, sc.pms)
+			}
+		}
+	}
 }
 
 // ActKernel is the batched activation-moment kernel: the same eqs. 12–26 as

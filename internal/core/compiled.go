@@ -1,19 +1,19 @@
 package core
 
 // CompiledBatch is a batched propagation program specialized for one exact
-// network at load time (see internal/compile): weight and squared-weight
-// panels pre-laid-out for the blocked matmul, activation knots baked in, and
+// network at load time (see internal/compile): per-layer closures over the
+// same dual-panel layout and activation kernels the Propagator's engine uses, and
 // scratch sized once for a registered maximum batch. A Propagator dispatches
-// PropagateBatch / PropagateBatchFrom calls whose batch fits MaxBatch to the
-// installed program; larger batches (and the per-sample Propagate path) stay
-// on the interpreted kernels.
+// every call but PropagateTrace whose batch fits MaxBatch to the installed
+// program (per-sample calls are one-row batches); larger batches stay on the
+// engine. The serving stack does not install one: the engine runs the same
+// kernels, so the program is kept only as a benchmark comparison point.
 //
-// Contract: RunBatch outputs must be Float64bits-identical to the
-// interpreted path on the same inputs — the compiled path is a specialization
-// of the same arithmetic, never an approximation of it. internal/proptest
+// Contract: RunBatch outputs must be Float64bits-identical to the engine
+// on the same inputs — the compiled path is a specialization of the same
+// arithmetic, never an approximation of it. internal/proptest
 // gates this over random networks, hostile inputs, and a fuzz corpus, and
-// internal/registry refuses to install a program that fails its warmup
-// self-check.
+// Program.Warm checks it before a program is installed.
 type CompiledBatch interface {
 	// MaxBatch reports the largest batch the program was specialized for.
 	MaxBatch() int
@@ -22,7 +22,7 @@ type CompiledBatch interface {
 	// dimension, and out pre-shaped to in.Batch() × output dimension. in is
 	// not modified. h is the dispatching propagator's hooks snapshot (may be
 	// nil): the program fires LayerTime and ScratchGet exactly as the
-	// interpreted path does, so serving observability is path-independent.
+	// engine does, so observability is path-independent.
 	// Hooks observe timing and buffer reuse only and never touch numeric
 	// state, so outputs are bit-identical with or without them.
 	RunBatch(in, out GaussianBatch, h *Hooks)
@@ -35,9 +35,9 @@ type compiledHolder struct{ cb CompiledBatch }
 
 // SetCompiled installs (or, with nil, removes) a compiled batch program. It
 // may be called at any time, including while other goroutines propagate: the
-// pointer is snapshotted once per batch call, so a swap applies atomically to
-// subsequent batches. Callers are expected to verify the program against the
-// interpreted path (Program.Warm in internal/compile) before installing it.
+// pointer is snapshotted once per propagation call, so a swap applies
+// atomically to subsequent calls. Callers are expected to verify the program
+// against the engine (Program.Warm in internal/compile) before installing it.
 func (p *Propagator) SetCompiled(cb CompiledBatch) {
 	if cb == nil {
 		p.compiledProg.Store(nil)
@@ -57,7 +57,7 @@ func (p *Propagator) Compiled() CompiledBatch {
 // Kernel returns layer i's activation-moment kernel. The compiled propagator
 // (internal/compile) binds these into its per-layer closures so the compiled
 // activation sweep is the same code — and therefore the same bits — as the
-// interpreted one.
+// engine's.
 func (p *Propagator) Kernel(i int) *ActKernel { return p.kernels[i] }
 
 // MaxLayerDim reports the widest layer dimension (including the input),

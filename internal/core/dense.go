@@ -15,8 +15,10 @@ import (
 //
 // where p is the Bernoulli keep probability of the layer's input mask and W²
 // is the element-wise square of the weights (passed pre-computed as wsq so a
-// propagator can amortize it across calls). The activation is NOT applied —
-// that is ActivationMoments' job.
+// caller can amortize it across calls). The activation is NOT applied —
+// that is ActivationMoments' job. It is the one-vector statement of the
+// step the Propagator's engine runs on dual panels; tests hold the engine
+// to it bit for bit.
 func DenseMoments(g GaussianVec, l *nn.Layer, wsq *tensor.Matrix) (GaussianVec, error) {
 	in, out := l.InDim(), l.OutDim()
 	if g.Dim() != in {

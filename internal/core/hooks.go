@@ -13,26 +13,29 @@ import "time"
 // BenchmarkPropagateBatchNilHooks / BenchmarkPropagateBatchHooked for the
 // measured overhead pair.
 type Hooks struct {
-	// BatchStart is called once per PropagateBatch/PropagateBatchFrom with
-	// the number of rows in the batch, before any work happens.
+	// BatchStart is called once per propagation call with the number of
+	// rows, before any work happens: B for PropagateBatch/PropagateBatchFrom,
+	// 1 for the per-sample Propagate, PropagateFrom and PropagateTrace (they
+	// are one-row calls of the same engine).
 	BatchStart func(rows int)
 	// LayerTime is called after each layer finishes with the layer index,
-	// the rows pushed through it, and the wall time spent. On the batched
-	// path each row-chunk worker reports its own chunk, so one batch yields
-	// up to GOMAXPROCS calls per layer; rows identifies the chunk size.
+	// the rows pushed through it, and the wall time spent. Each row-chunk
+	// worker reports its own chunk, so one batch yields up to GOMAXPROCS
+	// calls per layer; rows identifies the chunk size.
 	LayerTime func(layer, rows int, d time.Duration)
-	// ScratchGet is called once per scratch-buffer acquisition on the
-	// batched path. hit is true when the pool returned a warm buffer set,
+	// ScratchGet is called once per scratch-buffer acquisition (once per
+	// row chunk). hit is true when the pool returned a warm buffer set,
 	// false when a fresh allocation was needed.
 	ScratchGet func(hit bool)
 }
 
-// Note on the compiled fast path (SetCompiled): a batch that dispatches to a
-// compiled program fires the same hooks the interpreted path would —
-// BatchStart once at dispatch, LayerTime per fused layer step per chunk, and
-// ScratchGet per free-list acquisition (hit = recycled buffer set, miss =
-// overflow allocation) — so per-layer dashboards don't go dark when a model
-// loads with a compiled propagator. Outputs remain bit-identical either way.
+// Note on installed programs: a call that dispatches to a compiled program
+// (SetCompiled) fires the same hooks the engine would — BatchStart once at
+// dispatch, LayerTime per fused layer step per chunk, and ScratchGet per
+// free-list acquisition (hit = recycled buffer set, miss = overflow
+// allocation). A quantized program (SetQuantized) fires BatchStart and
+// ScratchGet but not LayerTime. Outputs are bit-identical with or without
+// hooks either way.
 
 // SetHooks attaches (or, with nil, detaches) observability hooks. It may be
 // called at any time, including while other goroutines propagate: the

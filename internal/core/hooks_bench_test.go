@@ -82,8 +82,9 @@ func BenchmarkPropagateBatchHooked(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagateNilHooks pins the sequential path's nil-hook cost (one
-// atomic load plus a per-layer bool test).
+// BenchmarkPropagateNilHooks pins the per-sample nil-hook cost: the same
+// one-row engine call as PropagateBatch, so one atomic load plus a
+// per-layer bool test.
 func BenchmarkPropagateNilHooks(b *testing.B) {
 	p, inputs := benchPropagator(b, 1)
 	b.ReportAllocs()

@@ -27,7 +27,8 @@ func hookTestInputs(n, dim int, seed int64) []tensor.Vector {
 }
 
 // TestHooksFire checks every callback fires with sane arguments on both the
-// sequential and batched paths.
+// per-sample and batched entry points. A per-sample call is a one-row call
+// of the same engine, so it fires BatchStart(1) and ScratchGet too.
 func TestHooksFire(t *testing.T) {
 	// The scratch-hit assertion below needs the first batch's pooled buffers
 	// to survive until the second batch, but sync.Pool is cleared at GC; hold
@@ -76,12 +77,18 @@ func TestHooksFire(t *testing.T) {
 	if _, err := p.PropagateBatch(inputs); err != nil {
 		t.Fatal(err)
 	}
+	mu.Lock()
+	getsBefore := scratchHits + scratchMisses
+	mu.Unlock()
 	if _, err := p.Propagate(inputs[0]); err != nil {
 		t.Fatal(err)
 	}
+	if got := scratchHits + scratchMisses - getsBefore; got != 1 {
+		t.Errorf("per-sample Propagate fired ScratchGet %d times, want 1", got)
+	}
 
-	if len(batchRows) != 2 || batchRows[0] != 32 || batchRows[1] != 32 {
-		t.Errorf("BatchStart rows = %v, want [32 32]", batchRows)
+	if len(batchRows) != 3 || batchRows[0] != 32 || batchRows[1] != 32 || batchRows[2] != 1 {
+		t.Errorf("BatchStart rows = %v, want [32 32 1]", batchRows)
 	}
 	// Two batches of 32 rows plus one sequential row cross every layer.
 	for li := 0; li < net.NumLayers(); li++ {

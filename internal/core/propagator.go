@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
@@ -67,25 +66,27 @@ func WithWorkers(n int) Option {
 
 // Propagator runs ApDeepSense inference over a fixed network: a single
 // deterministic pass that outputs the full Gaussian approximation of the
-// network's output distribution under dropout. It precomputes the
-// element-wise squared weight matrices (for eq. 10) and the PWL activation
-// approximations, so construction is paid once per model.
+// network's output distribution under dropout. It packs every layer's W and
+// element-wise W² (for eqs. 9–10) into one dual panel and prepares the
+// activation-moment kernels, so construction is paid once per model. Every
+// entry point — per-sample, trace, and batched — runs the same engine
+// (batchprop.go), which is what keeps them bit-identical.
 //
-// A Propagator is safe for concurrent use: Propagate and PropagateBatch only
-// read the precomputed state (the batch scratch pool is internally
+// A Propagator is safe for concurrent use: every entry point only reads
+// the precomputed state (the batch scratch pool is internally
 // synchronized), and the optional observability hooks (SetHooks) are stored
 // behind an atomic pointer.
 type Propagator struct {
 	net  *nn.Network
 	acts []*piecewise.Func
-	wsq  []*tensor.Matrix
 	cost edison.Cost
 
-	// Batched-path state (see batchprop.go): per-layer activation kernels
-	// with shared-boundary truncated moments, the widest layer dimension
-	// (sizing the ping-pong scratch), the largest knot count, and a pool of
-	// reusable scratch buffers so the hot path is allocation-free after
-	// warmup.
+	// Engine state (see batchprop.go): per-layer W/W² dual panels and
+	// activation kernels with shared-boundary truncated moments, the widest
+	// layer dimension (sizing the ping-pong scratch), the largest knot
+	// count, and a pool of reusable scratch buffers so the hot path is
+	// allocation-free after warmup.
+	panels    []*tensor.DualPanel
 	kernels   []*ActKernel
 	maxDim    int
 	maxBounds int
@@ -99,8 +100,8 @@ type Propagator struct {
 	hooks atomic.Pointer[Hooks]
 
 	// compiledProg holds the optional shape-specialized batch program
-	// (SetCompiled / internal/compile). Snapshotted once per batch call;
-	// uninstalled it costs one atomic pointer load.
+	// (SetCompiled / internal/compile). Snapshotted once per propagation
+	// call; uninstalled it costs one atomic pointer load.
 	compiledProg atomic.Pointer[compiledHolder]
 
 	// quantizedProg holds the optional fixed-point program (SetQuantized /
@@ -117,7 +118,7 @@ func NewPropagator(net *nn.Network, opts Options, extra ...Option) (*Propagator,
 	p := &Propagator{
 		net:     net,
 		acts:    make([]*piecewise.Func, len(layers)),
-		wsq:     make([]*tensor.Matrix, len(layers)),
+		panels:  make([]*tensor.DualPanel, len(layers)),
 		kernels: make([]*ActKernel, len(layers)),
 		maxDim:  net.InputDim(),
 	}
@@ -127,7 +128,7 @@ func NewPropagator(net *nn.Network, opts Options, extra ...Option) (*Propagator,
 			return nil, fmt.Errorf("core: prepare layer %d: %w", i, err)
 		}
 		p.acts[i] = f
-		p.wsq[i] = l.W.Square()
+		p.panels[i] = tensor.PackDual(l.W)
 		p.kernels[i] = k
 		if l.OutDim() > p.maxDim {
 			p.maxDim = l.OutDim()
@@ -163,90 +164,50 @@ func (p *Propagator) ActivationPieces(i int) int { return p.acts[i].NumPieces() 
 // through every layer's dropout-aware affine map (eqs. 9–10) and PWL
 // activation (eqs. 12–26), yielding the Gaussian approximation of the output
 // distribution. Narrow outputs mean low uncertainty; wide outputs mean high
-// uncertainty (paper §III-D summary).
+// uncertainty (paper §III-D summary). It is a one-row call of the batched
+// engine, so it takes the same dispatch (quantized or compiled program when
+// installed) and fires the same hooks as PropagateBatch.
 func (p *Propagator) Propagate(x tensor.Vector) (GaussianVec, error) {
 	if len(x) != p.net.InputDim() {
 		return GaussianVec{}, fmt.Errorf("propagate: input dim %d, want %d: %w", len(x), p.net.InputDim(), ErrInput)
 	}
-	return p.PropagateFrom(Deterministic(x))
+	return p.propagateBatch(rowBatch(x, make([]float64, len(x))), nil).Row(0), nil
 }
 
 // PropagateFrom runs the moment propagation starting from an already
 // Gaussian input — the entry point for hybrid models (e.g. convolutional
 // front-ends, internal/conv) whose earlier stages produced a distribution.
+// g is not modified.
 func (p *Propagator) PropagateFrom(g GaussianVec) (GaussianVec, error) {
 	if g.Dim() != p.net.InputDim() {
 		return GaussianVec{}, fmt.Errorf("propagate-from: input dim %d, want %d: %w", g.Dim(), p.net.InputDim(), ErrInput)
 	}
-	// An installed quantized program answers the per-sample path too, so a
-	// served sample sees the same arithmetic whether it arrived alone or in
-	// a coalesced batch (Run is bit-identical to a RunBatch row).
-	if q := p.Quantized(); q != nil {
-		return q.Run(g), nil
-	}
-	h := p.hooks.Load()
-	timed := h != nil && h.LayerTime != nil
-	var t0 time.Time
-	g = g.Clone()
-	sc := p.scratch.Get().(*batchScratch)
-	sc.warm = true
-	sc.ensure(0, p.maxBounds)
-	defer p.scratch.Put(sc)
-	for i, l := range p.net.Layers() {
-		if timed {
-			t0 = time.Now()
-		}
-		var err error
-		g, err = DenseMoments(g, l, p.wsq[i])
-		if err != nil {
-			return GaussianVec{}, fmt.Errorf("propagate layer %d: %w", i, err)
-		}
-		p.activateVec(g, i, sc)
-		if timed {
-			h.LayerTime(i, 1, time.Since(t0))
-		}
-	}
-	return g, nil
-}
-
-// activateVec applies layer li's activation-moment kernel element-wise —
-// the per-sample counterpart of the batched panel sweep. For PWL kernels it
-// is bit-identical to ActivationMomentsVec (the kernel reproduces
-// ActivationMoments exactly); for exact kernels it dispatches to the
-// closed-form rectifier moments on every entry point alike, which is what
-// keeps interpreted, batched, and compiled dispatch bit-identical.
-func (p *Propagator) activateVec(g GaussianVec, li int, sc *batchScratch) {
-	ak := p.kernels[li]
-	for j := range g.Mean {
-		g.Mean[j], g.Var[j] = ak.Moments(g.Mean[j], g.Var[j], sc.bounds, sc.pms)
-	}
+	return p.propagateBatch(rowBatch(g.Mean, g.Var), nil).Row(0), nil
 }
 
 // PropagateTrace runs the moment propagation and additionally returns the
-// Gaussian state after every layer (post-activation), index 0 being the
-// first layer's output. It powers layer-wise diagnostics such as Figure 1's
-// hidden-unit distribution checks and variance-flow debugging.
+// Gaussian state after every layer (post-activation, before the next
+// layer's dropout), index 0 being the first layer's output. It powers
+// layer-wise diagnostics such as Figure 1's hidden-unit distribution checks
+// and variance-flow debugging. It always runs the float engine, never an
+// installed quantized or compiled program: only the engine can capture the
+// per-layer states.
 func (p *Propagator) PropagateTrace(x tensor.Vector) (GaussianVec, []GaussianVec, error) {
 	if len(x) != p.net.InputDim() {
 		return GaussianVec{}, nil, fmt.Errorf("propagate-trace: input dim %d, want %d: %w", len(x), p.net.InputDim(), ErrInput)
 	}
-	g := Deterministic(x)
-	layers := p.net.Layers()
-	trace := make([]GaussianVec, 0, len(layers))
-	sc := p.scratch.Get().(*batchScratch)
-	sc.warm = true
-	sc.ensure(0, p.maxBounds)
-	defer p.scratch.Put(sc)
-	for i, l := range layers {
-		var err error
-		g, err = DenseMoments(g, l, p.wsq[i])
-		if err != nil {
-			return GaussianVec{}, nil, fmt.Errorf("propagate-trace layer %d: %w", i, err)
-		}
-		p.activateVec(g, i, sc)
-		trace = append(trace, g.Clone())
+	trace := make([]GaussianVec, p.net.NumLayers())
+	out := p.propagateBatch(rowBatch(x, make([]float64, len(x))), trace)
+	return out.Row(0), trace, nil
+}
+
+// rowBatch views one Gaussian's moments as a one-row batch without copying;
+// the engine only reads its input.
+func rowBatch(mean, variance []float64) GaussianBatch {
+	return GaussianBatch{
+		Mean: &tensor.Matrix{Rows: 1, Cols: len(mean), Data: mean},
+		Var:  &tensor.Matrix{Rows: 1, Cols: len(mean), Data: variance},
 	}
-	return g, trace, nil
 }
 
 // Cost returns the modeled per-inference execution cost of the ApDeepSense

@@ -11,15 +11,15 @@ package core
 // not a bit-identical specialization — its accuracy contract is the a-priori
 // quantization error budget of internal/oracle (ForwardQuantCond), gated
 // over random networks by internal/proptest. What IS exact is row
-// self-consistency: Run on a single Gaussian and RunBatch on a batch
-// containing it produce Float64bits-identical rows (both call one shared
-// per-row routine, and each row's dynamic quantization scales depend only on
-// that row), so serving results are independent of batching decisions.
+// self-consistency: each row's dynamic quantization scales depend only on
+// that row, so a row's result is Float64bits-identical whatever batch it
+// arrives in, and serving results are independent of batching decisions.
 //
 // When a quantized program is installed it takes dispatch priority over the
-// compiled and interpreted paths on BOTH the batched and the per-sample
-// entry points — a registry version serving quantized traffic answers
-// Predict and coalesced PredictBatch calls from the same arithmetic.
+// compiled program and the float engine on every entry point but
+// PropagateTrace — per-sample calls are one-row batches — so a registry
+// version serving quantized traffic answers Predict and coalesced
+// PredictBatch calls from the same arithmetic.
 type QuantizedProgram interface {
 	// MaxBatch reports the largest batch the program accepts; quantized
 	// programs are batch-size-agnostic (scratch is per row chunk) and
@@ -33,9 +33,6 @@ type QuantizedProgram interface {
 	// reported (the fixed-point path is organized row-major, not
 	// layer-major). Rows whose input moments are non-finite are NaN-filled.
 	RunBatch(in, out GaussianBatch, h *Hooks)
-	// Run propagates a single Gaussian, bit-identical to the corresponding
-	// row of RunBatch. The caller guarantees the input dimension.
-	Run(g GaussianVec) GaussianVec
 }
 
 // quantizedHolder wraps the interface value so it can live behind an

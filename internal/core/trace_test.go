@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/apdeepsense/apdeepsense/internal/nn"
+	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -109,5 +111,66 @@ func TestPropagateFromValidation(t *testing.T) {
 	// PropagateFrom must not mutate its input.
 	if g.Var[0] != 0.5 {
 		t.Error("PropagateFrom mutated its input")
+	}
+}
+
+// TestEngineMatchesLayerComposition pins the engine to the one-vector
+// statement of the algorithm: DenseMoments (eqs. 9–10, MulVecInto against
+// a separate W²) followed by the layer's activation kernel element by
+// element. Propagate's output and every PropagateTrace state must match
+// that composition bit for bit, on layers wide enough to straddle the
+// matmul's k-block and with exact-zero inputs that exercise its zero-skips.
+func TestEngineMatchesLayerComposition(t *testing.T) {
+	for _, act := range []nn.Activation{nn.ActReLU, nn.ActTanh, nn.ActSigmoid} {
+		for _, keep := range []float64{1, 0.7} {
+			net, err := nn.New(nn.Config{
+				InputDim: 5, Hidden: []int{70, 130}, OutputDim: 3,
+				Activation: act, OutputActivation: nn.ActIdentity,
+				KeepProb: keep, Seed: 41,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prop, err := NewPropagator(net, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []tensor.Vector{{0.5, -1, 0.2, 0.9, -0.3}, {0, 2, 0, -1.5, 0}} {
+				final, trace, err := prop.PropagateTrace(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := prop.Propagate(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := Deterministic(x)
+				for li, l := range net.Layers() {
+					if g, err = DenseMoments(g, l, l.W.Square()); err != nil {
+						t.Fatal(err)
+					}
+					ak := prop.Kernel(li)
+					bounds := make([]stats.Boundary, ak.NumBounds())
+					pms := make([]stats.PartialMoments, ak.NumBounds())
+					for j := range g.Mean {
+						g.Mean[j], g.Var[j] = ak.Moments(g.Mean[j], g.Var[j], bounds, pms)
+					}
+					requireSameBits(t, act, keep, li, trace[li], g)
+				}
+				requireSameBits(t, act, keep, -1, final, g)
+				requireSameBits(t, act, keep, -1, out, g)
+			}
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, act nn.Activation, keep float64, layer int, got, want GaussianVec) {
+	t.Helper()
+	for j := range want.Mean {
+		if math.Float64bits(got.Mean[j]) != math.Float64bits(want.Mean[j]) ||
+			math.Float64bits(got.Var[j]) != math.Float64bits(want.Var[j]) {
+			t.Fatalf("%v keep %v layer %d out %d: engine (%v, %v), composition (%v, %v)",
+				act, keep, layer, j, got.Mean[j], got.Var[j], want.Mean[j], want.Var[j])
+		}
 	}
 }

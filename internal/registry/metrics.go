@@ -13,7 +13,6 @@ import (
 //	apds_registry_requests_total{model,route}     served requests by route (current|canary)
 //	apds_registry_swaps_total{model}              route-table swaps applied
 //	apds_registry_reloads_total{result}           manifest reload attempts (ok|error|unchanged)
-//	apds_registry_compiles_total{result}          load-time compiles (ok|cache_hit|error)
 //	apds_registry_quantized_total{result}         load-time quantized builds (ok|cache_hit|fallback)
 //	apds_registry_versions{model}                 registered (routable or draining) versions
 //	apds_registry_shadow_total{model}             shadow comparisons completed
@@ -24,7 +23,6 @@ type Metrics struct {
 	requests      *obs.CounterVec
 	swaps         *obs.CounterVec
 	reloads       *obs.CounterVec
-	compiles      *obs.CounterVec
 	quantized     *obs.CounterVec
 	versions      *obs.GaugeVec
 	shadow        *obs.CounterVec
@@ -46,8 +44,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Route-table swaps applied per model.", "model"),
 		reloads: reg.CounterVec("apds_registry_reloads_total",
 			"Manifest reload attempts by outcome.", "result"),
-		compiles: reg.CounterVec("apds_registry_compiles_total",
-			"Load-time propagator compiles by outcome (ok, cache_hit, error).", "result"),
 		quantized: reg.CounterVec("apds_registry_quantized_total",
 			"Load-time quantized-program builds by outcome (ok, cache_hit, fallback to float).", "result"),
 		versions: reg.GaugeVec("apds_registry_versions",
@@ -98,20 +94,6 @@ func (m *Metrics) reloaded(result string) {
 	if m != nil {
 		m.reloads.With(result).Inc()
 	}
-}
-
-func (m *Metrics) compiled(result string) {
-	if m != nil {
-		m.compiles.With(result).Inc()
-	}
-}
-
-// Compiles returns the compile count for one outcome label (for tests).
-func (m *Metrics) Compiles(result string) float64 {
-	if m == nil {
-		return 0
-	}
-	return m.compiles.With(result).Value()
 }
 
 func (m *Metrics) quantizedBuild(result string) {

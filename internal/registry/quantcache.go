@@ -34,8 +34,8 @@ type quantEntry struct {
 }
 
 // quantCache shares quantized programs across versions with identical
-// networks, exactly like compileCache shares compiled ones: a manifest re-add
-// or a canary of the same weights must not pay a second quantization pass.
+// networks: a manifest re-add or a canary of the same weights must not pay a
+// second quantization pass.
 // Eviction is pure refcounting — the last release of a key drops the entry.
 type quantCache struct {
 	mu      sync.Mutex
@@ -108,8 +108,7 @@ var buildQuantized = func(net *nn.Network, opts core.Options) (*qprop.Propagator
 }
 
 // quantFor builds (or fetches from cache) the quantized program for ap's
-// network and installs it on ap's propagator. Like compileFor, it runs inside
-// buildVersion — before the version is registered or routable — so a hot
+// network and installs it on ap's propagator. It runs inside buildVersion — before the version is registered or routable — so a hot
 // reload quantizes while the old version keeps serving. qprop.Build smoke-
 // checks the program against an all-ones input at build time, and the
 // version's own warmup inference then exercises the installed program end to
@@ -118,7 +117,7 @@ var buildQuantized = func(net *nn.Network, opts core.Options) (*qprop.Propagator
 // cache-release func for the version to call on retire.
 //
 // A quantize failure is NOT a load failure: the caller falls back to the
-// float (and, unless disabled, compiled) path. Oversized weights that
+// float engine. Oversized weights that
 // overflow the fixed-point scheme degrade to slower serving, never to an
 // unservable model.
 func (r *Registry) quantFor(id string, ap *core.ApDeepSense, fp string) (func(), error) {

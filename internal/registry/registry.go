@@ -77,32 +77,25 @@ type Config struct {
 	// Metrics, when non-nil, receives registry observations (see NewMetrics).
 	Metrics *Metrics
 	// Hooks, when non-nil, is attached to every version's propagator (layer
-	// timing, batch sizes, scratch reuse — see core.Hooks). Shared across
+	// timing, batch sizes, scratch reuse — see core.Hooks) once its warmup
+	// has passed, so build-time work never reaches them. Shared across
 	// versions; core hooks are concurrency-safe by contract.
 	Hooks *core.Hooks
 	// SkipWarmup disables the warmup inference run before a version becomes
 	// routable. Tests use it to register deliberately slow estimators.
 	SkipWarmup bool
-	// DisableCompile turns off load-time specialization: versions then serve
-	// on the interpreted propagator only. By default every version built from
-	// a network (not an injected estimator) gets a compiled program — built
-	// or fetched from the fingerprint-keyed cache, warmed against the
-	// version's own propagator, and installed before the version is
-	// registered, so a version is routable only after its compiled propagator
-	// has passed its bit-identity self-check.
-	DisableCompile bool
 	// EnableQuantized turns on the int8 fixed-point serving path for every
 	// version built from a network: the weights are quantized at load time
 	// (internal/qprop) and the quantized program — built or fetched from the
-	// fingerprint-keyed cache — takes dispatch priority over the compiled and
-	// interpreted paths. Quantization is opt-in (unlike compilation, which is
-	// opt-out) because it is an approximation, not a bit-identical
-	// specialization: its accuracy contract is the oracle's quantization
-	// error budget, not Float64bits equality with the float path. A version
-	// whose weights the fixed-point scheme rejects falls back to float
-	// serving (counted as apds_registry_quantized_total{result="fallback"});
-	// quantization never fails a load. Per-model opt-in is available through
-	// SetQuantized or the manifest's "quantized" flag.
+	// fingerprint-keyed cache — takes dispatch priority over the float
+	// engine. Quantization is opt-in because it is an approximation, not a
+	// bit-identical specialization: its accuracy contract is the oracle's
+	// quantization error budget, not Float64bits equality with the float
+	// path. A version whose weights the fixed-point scheme rejects falls
+	// back to float serving (counted as
+	// apds_registry_quantized_total{result="fallback"}); quantization never
+	// fails a load. Per-model opt-in is available through SetQuantized or
+	// the manifest's "quantized" flag.
 	EnableQuantized bool
 	// ShadowBuffer bounds pending shadow comparisons; beyond it duplicates
 	// are dropped (and counted) rather than ever blocking the primary path.
@@ -182,11 +175,8 @@ type Registry struct {
 	models map[string]*model
 	closed bool
 
-	// compiles shares load-time compiled programs across versions with
-	// identical networks (see compilecache.go).
-	compiles *compileCache
-	// quants shares load-time quantized programs the same way (see
-	// quantcache.go).
+	// quants shares load-time quantized programs across versions with
+	// identical networks (see quantcache.go).
 	quants *quantCache
 
 	shadowJobs chan shadowJob
@@ -207,7 +197,6 @@ func New(cfg Config) *Registry {
 	r := &Registry{
 		cfg:        cfg,
 		models:     make(map[string]*model),
-		compiles:   newCompileCache(),
 		quants:     newQuantCache(),
 		shadowJobs: make(chan shadowJob, cfg.ShadowBuffer),
 	}
@@ -365,20 +354,18 @@ func (r *Registry) SetQuantized(modelName string, enabled bool) error {
 	return nil
 }
 
-// buildVersion assembles estimator + pool, specializes the propagator
-// (quantized and/or compiled program), and runs the warmup inference.
-// Everything here happens before registration — off the serving path — so a
-// hot reload specializes and warms while the displaced version keeps serving.
+// buildVersion assembles estimator + pool, installs the quantized program
+// when asked, and runs the warmup inference. Everything here happens before
+// registration — off the serving path — so a hot reload quantizes and warms
+// while the displaced version keeps serving.
 func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quantized bool, est core.Estimator) (*Version, error) {
-	var releaseCompiled, releaseQuantized func()
+	var ap *core.ApDeepSense
+	var releaseQuantized func()
 	if est == nil {
-		ap, err := core.NewApDeepSense(net, r.cfg.Options, obsVar)
-		if err != nil {
+		var err error
+		if ap, err = core.NewApDeepSense(net, r.cfg.Options, obsVar); err != nil {
 			return nil, fmt.Errorf("registry: version %s: %w", id, err)
 		}
-		// Specialize before installing hooks: build-time self-checks are not
-		// serving traffic, and must not inflate batch-size or layer-timing
-		// metrics fed by the hooks.
 		if quantized {
 			releaseQuantized, err = r.quantFor(id, ap, net.Fingerprint())
 			if err != nil {
@@ -388,18 +375,6 @@ func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quan
 				r.cfg.Metrics.quantizedBuild("fallback")
 				releaseQuantized = nil
 			}
-		}
-		// A quantized program takes dispatch priority on every entry point,
-		// so compiling underneath it would be dead weight; compile only when
-		// the version actually serves on the float path.
-		if releaseQuantized == nil && !r.cfg.DisableCompile {
-			releaseCompiled, err = r.compileFor(id, ap, net.Fingerprint())
-			if err != nil {
-				return nil, err
-			}
-		}
-		if r.cfg.Hooks != nil {
-			ap.Propagator().SetHooks(r.cfg.Hooks)
 		}
 		est = ap
 	}
@@ -418,29 +393,32 @@ func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quan
 		}
 		g, err := est.Predict(ones)
 		if err != nil {
-			return nil, failBuild(fmt.Errorf("registry: version %s warmup: %w", id, err), releaseCompiled, releaseQuantized)
+			return nil, failBuild(fmt.Errorf("registry: version %s warmup: %w", id, err), releaseQuantized)
 		}
 		if err := g.Validate(); err != nil {
-			return nil, failBuild(fmt.Errorf("registry: version %s warmup output: %w", id, err), releaseCompiled, releaseQuantized)
+			return nil, failBuild(fmt.Errorf("registry: version %s warmup output: %w", id, err), releaseQuantized)
 		}
+	}
+	// Hooks go on only after the build-time work: the warmup is not serving
+	// traffic, and must not inflate batch-size or layer-timing metrics fed
+	// by the hooks.
+	if ap != nil && r.cfg.Hooks != nil {
+		ap.Propagator().SetHooks(r.cfg.Hooks)
 	}
 	coal, err := serve.NewPredict(est, r.cfg.Serve)
 	if err != nil {
-		return nil, failBuild(fmt.Errorf("registry: version %s pool: %w", id, err), releaseCompiled, releaseQuantized)
+		return nil, failBuild(fmt.Errorf("registry: version %s pool: %w", id, err), releaseQuantized)
 	}
 	v := newVersion(id, net, est, coal)
-	v.releaseCompiled = releaseCompiled
 	v.releaseQuantized = releaseQuantized
 	return v, nil
 }
 
-// failBuild releases the program-cache references a failed build would
+// failBuild releases the program-cache reference a failed build would
 // otherwise leak, then passes the error through.
-func failBuild(err error, releases ...func()) error {
-	for _, release := range releases {
-		if release != nil {
-			release()
-		}
+func failBuild(err error, release func()) error {
+	if release != nil {
+		release()
 	}
 	return err
 }

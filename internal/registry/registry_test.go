@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/conv"
+	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/obs"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
@@ -432,6 +434,35 @@ func TestWarmupRejectsBrokenModel(t *testing.T) {
 	}
 	if _, err := r.Version("m", "bad"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("failed version lookup: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestHooksSkipBuildWork: the warmup inference is build-time work, not
+// serving traffic, so the configured hooks must see nothing until the first
+// request — and must see that request.
+func TestHooksSkipBuildWork(t *testing.T) {
+	var calls atomic.Int64
+	hooks := &core.Hooks{
+		BatchStart: func(int) { calls.Add(1) },
+		LayerTime:  func(int, int, time.Duration) { calls.Add(1) },
+		ScratchGet: func(bool) { calls.Add(1) },
+	}
+	r := New(Config{Hooks: hooks})
+	defer closeRegistry(t, r)
+	if _, err := r.AddVersion("m", "v1", testNet(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetRoutes("m", "v1", "", 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("hooks fired %d times before the first request", n)
+	}
+	if _, _, err := r.Predict(context.Background(), "m", "req", tensor.Vector{0.3, -1.2, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Error("hooks never fired for a served request")
 	}
 }
 

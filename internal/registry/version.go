@@ -49,13 +49,11 @@ type Version struct {
 	idle     chan struct{}
 	idleOnce sync.Once
 
-	// releaseCompiled, when non-nil, drops this version's reference on the
-	// registry's compiled-program cache. Called exactly once, at retire: the
+	// releaseQuantized, when non-nil, drops this version's reference on the
+	// registry's quantized-program cache. Called exactly once, at retire: the
 	// cache entry may be evicted then, but in-flight requests are unaffected —
 	// the propagator itself keeps its installed program reachable for as long
 	// as anything can run on it.
-	releaseCompiled func()
-	// releaseQuantized is the same for the quantized-program cache.
 	releaseQuantized func()
 }
 
@@ -121,9 +119,6 @@ func (v *Version) release() {
 func (v *Version) retire(onDrained func()) {
 	if !v.retired.CompareAndSwap(false, true) {
 		return
-	}
-	if v.releaseCompiled != nil {
-		v.releaseCompiled()
 	}
 	if v.releaseQuantized != nil {
 		v.releaseQuantized()

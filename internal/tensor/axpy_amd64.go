@@ -85,8 +85,8 @@ func axpy4(x0, x1, x2, x3 float64, w, d0, d1, d2, d3 []float64) {
 // axpyDualAVX is the single-row dual-moment kernel in axpy_amd64.s:
 // dm[j] += xm * wm[j] and dv[j] += xv * wv[j] for j in 0..n-1 in one vector
 // pass. Like axpy4AVX it uses separate VMULPD and VADDPD so every lane is
-// the exact rounded multiply-then-add of the scalar loop — the compiled
-// propagator relies on that for its bit-identity contract on tail rows.
+// the exact rounded multiply-then-add of the scalar loop — DualMulInto
+// relies on that for its bit-identity contract on tail rows.
 func axpyDualAVX(xm, xv float64, wm, wv *float64, n int, dm, dv *float64)
 
 // axpyDualAVX512 is the same kernel widened to 8 doubles per step.

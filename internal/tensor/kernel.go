@@ -1,13 +1,5 @@
 package tensor
 
-// KBlock is the k-dimension tile height of the blocked matmul kernel
-// (mulBlocked): how many rows of the right-hand matrix stay cache-hot while
-// a panel of left-hand rows streams against them. Exported so the
-// shape-specialized compiled propagator (internal/compile) can pack weight
-// panels with the same blocking and reproduce MulInto's accumulation order
-// — and therefore its floating-point results — exactly.
-const KBlock = mulKBlock
-
 // Axpy4 performs d_r[j] += x_r * w[j] for r in 0..3 over j in [0, len(w)),
 // dispatching exactly as mulBlocked's inner loop does: the AVX/AVX-512
 // vector kernel when available, the scalar loop otherwise. Every lane
@@ -37,11 +29,11 @@ func Axpy4(x0, x1, x2, x3 float64, w, d0, d1, d2, d3 []float64) {
 
 // AxpyDual performs dm[j] += xm * wm[j] and dv[j] += xv * wv[j] over
 // j in [0, len(wm)) in one pass — the single-row counterpart of Axpy4 for
-// the compiled propagator's dual-moment panels, where wm is a weight row and
-// wv its squared pair. mulBlocked's scalar tail has no vector kernel (a
-// lone row gives it nothing to amortize a broadcast across), but the fused
-// dual layout restores a second stream to overlap, which is what makes
-// batch-1 compiled propagation faster than the interpreted path.
+// DualMulInto's dual-moment panels, where wm is a weight row and wv its
+// squared pair. mulBlocked's scalar tail has no vector kernel (a lone row
+// gives it nothing to amortize a broadcast across), but the fused dual
+// layout restores a second stream to overlap, which is what makes batch-1
+// moment propagation as fast as a batched row.
 //
 // Every lane is a separately rounded multiply followed by a separately
 // rounded add, so each destination element sees the exact bits of the scalar
@@ -63,8 +55,8 @@ func AxpyDual(xm, xv float64, wm, wv, dm, dv []float64) {
 }
 
 // Axpy4Dual is the 4-row counterpart of AxpyDual: dm_r[j] += x_r * wm[j]
-// and dv_r[j] += y_r * wv[j] for r in 0..3 in one pass. The compiled
-// propagator's register-blocked sweep uses it to load each packed panel
+// and dv_r[j] += y_r * wv[j] for r in 0..3 in one pass. DualMulInto's
+// register-blocked sweep uses it to load each packed panel
 // stripe once for both moments and pay one call per k-step instead of two
 // Axpy4 calls. Per-lane operations are the identical separately rounded
 // multiply-then-add, so the result bits match two Axpy4 calls exactly.

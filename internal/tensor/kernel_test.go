@@ -42,8 +42,9 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 
 // TestAxpyDualVectorScalarBitExact pins the single-row dual-moment vector
 // kernel to the scalar loop bit for bit across lane-remainder lengths,
-// negative zeros, and subnormal products. The compiled propagator's tail rows
-// ride on this kernel, so any deviation here is a bit-identity break there.
+// negative zeros, and subnormal products. DualMulInto's tail rows — every
+// per-sample propagation — ride on this kernel, so any deviation here is a
+// bit-identity break there.
 func TestAxpyDualVectorScalarBitExact(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX vector kernel on this machine")
@@ -138,7 +139,7 @@ func TestAxpy4DualVectorScalarBitExact(t *testing.T) {
 }
 
 // TestAxpyDualNonFinite checks the dual kernels propagate NaN and Inf
-// products exactly as the scalar loop does — the compiled propagator's
+// products exactly as the scalar loop does — the float engine's
 // hostile-input guarantee leans on this.
 func TestAxpyDualNonFinite(t *testing.T) {
 	if !hasAVX {

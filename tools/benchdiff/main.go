@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	benchdiff -base results/BENCH_compile.json -fresh /tmp/run/BENCH_compile.json -tol 0.5
+//	benchdiff -base results/BENCH_quant.json -fresh /tmp/run/BENCH_quant.json -tol 0.5
 //
 // The default tolerance is deliberately loose (50%): the committed numbers
 // come from whatever machine recorded them, and the gate's job is to catch

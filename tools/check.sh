@@ -8,13 +8,13 @@
 # seconds of mutation catch shallow regressions), then record the batched
 # propagation benchmark with its metrics snapshot (results/BENCH_batch.json +
 # results/BENCH_obs.prom) and smoke runs of the serving and registry
-# benchmarks, and finally run the compiled-propagator, quantized-propagator,
+# benchmarks, and finally run the quantized-propagator
 # and sequence-path (conv/RNN/GRU + dense exact-backend) benchmarks, a
 # 2-replica cluster smoke, and a 20k session-fleet smoke and diff each
 # against its committed trajectory with tools/benchdiff. The smoke bench runs write to a scratch directory so short
 # cells never clobber the committed results/BENCH_serve.json /
 # BENCH_registry.json / BENCH_cluster.json / BENCH_seq.json (regenerate those
-# with `make bench-serve` / `make bench-registry` / `make bench-compile` /
+# with `make bench-serve` / `make bench-registry` /
 # `make bench-quant` / `make bench-cluster` / `make bench-seq`).
 set -eu
 
@@ -75,17 +75,11 @@ go run ./cmd/apds-bench -serve -serve-duration 200ms -results "$smokedir"
 echo "== apds-bench -registry (smoke)"
 go run ./cmd/apds-bench -registry -registry-duration 200ms -results "$smokedir"
 
-echo "== apds-bench -compile + benchdiff vs committed trajectory"
-go run ./cmd/apds-bench -compile -results "$smokedir"
-# Loose tolerance: the committed numbers come from another box; this gate
-# catches the compiled path silently falling back to interpreted speed, not
-# scheduler noise.
-go run ./tools/benchdiff -base results/BENCH_compile.json -fresh "$smokedir/BENCH_compile.json" -tol 0.6
-
 echo "== apds-bench -quant + benchdiff vs committed trajectory"
 go run ./cmd/apds-bench -quant -results "$smokedir"
-# Same loose tolerance: catches the fixed-point path silently losing its
-# integer kernels (scalar fallback) or its size advantage, not machine noise.
+# Loose tolerance: the committed numbers come from another box; this gate
+# catches the fixed-point path silently losing its integer kernels (scalar
+# fallback) or its size advantage, not machine noise.
 go run ./tools/benchdiff -base results/BENCH_quant.json -fresh "$smokedir/BENCH_quant.json" -tol 0.6
 
 echo "== apds-bench -cluster (2-replica smoke) + benchdiff vs committed trajectory"
