@@ -27,6 +27,7 @@ fuzz:
 	go test -run NONE -fuzz 'FuzzQuantizedVsFloat' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzExactVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 2m ./internal/proptest
+	go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 2m ./internal/core
 	go test -run NONE -fuzz 'FuzzQMadd' -fuzztime 2m ./internal/tensor
 	go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 2m ./internal/nn
 

@@ -30,6 +30,10 @@ const SigmaFloor = 1e-12
 // but avoids special-casing the sign of k, and degrades gracefully to the
 // k = 0 constant-piece equations. Two passes (mean, then centered variance)
 // keep the variance numerically stable.
+//
+// Every propagation path runs ActKernel.Moments instead; ActivationMoments
+// is kept as the scalar reference those kernels are held to bit for bit
+// (TestActivationKernelExact), and only tests and benchmarks call it.
 func ActivationMoments(mu, variance float64, f *piecewise.Func) (outMean, outVar float64) {
 	sigma := math.Sqrt(variance)
 	if sigma <= SigmaFloor*(1+math.Abs(mu)) {

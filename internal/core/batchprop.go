@@ -342,15 +342,15 @@ func (ak *ActKernel) activate(bias, mu, va []float64, nextKeep float64, sc *batc
 // slopes, intercepts, and knots live in flat arrays hoisted out of the
 // per-element call, and the truncated-moment boundary terms (one erf and one
 // Gaussian density per knot) are computed once per knot instead of twice —
-// adjacent pieces share their boundary. Outputs are bit-identical to
-// ActivationMoments (stats.MomentsBetween reproduces stats.TruncatedMoments
-// exactly; see TestActivationKernelExact).
+// adjacent pieces share their boundary. Moments evaluates only the knot
+// window of each element: knots standardized past ±stats.TailZ carry the
+// constant tail boundary, so the pieces beyond them carry exact zeros and are
+// skipped. Outputs are bit-identical to ActivationMoments (see
+// TestActivationKernelExact and TestKnotWindowMatchesFullAssembly).
 type ActKernel struct {
-	f         *piecewise.Func  // point-mass fast path (f.Eval)
-	knots     []float64        // n+1 piece boundaries, ascending
-	k, c      []float64        // per-piece slope and intercept
-	infB      []stats.Boundary // boundary terms, precomputed at ±Inf knots
-	finiteIdx []int            // indices of the finite knots
+	f     *piecewise.Func // point-mass fast path (f.Eval)
+	knots []float64       // n+1 piece boundaries, ascending, knots[0] = −Inf, knots[n] = +Inf
+	k, c  []float64       // per-piece slope and intercept
 	// exact routes non-degenerate Gaussians to the closed-form rectifier
 	// moments (stats.RectifiedMoments / LeakyRectifiedMoments) with slope
 	// alpha instead of the PWL assembly. The point-mass shortcut is shared,
@@ -363,29 +363,14 @@ func NewActKernel(f *piecewise.Func) *ActKernel {
 	n := f.NumPieces()
 	ak := &ActKernel{
 		f:     f,
-		knots: make([]float64, n+1),
+		knots: f.Knots(),
 		k:     make([]float64, n),
 		c:     make([]float64, n),
-		infB:  make([]stats.Boundary, n+1),
 	}
 	for i := 0; i < n; i++ {
 		piece := f.Piece(i)
-		ak.knots[i] = piece.A
 		ak.k[i] = piece.K
 		ak.c[i] = piece.C
-	}
-	ak.knots[n] = f.Piece(n - 1).B
-	// Outermost knots are ±Inf for every supported activation, where the
-	// boundary terms are the constants Erf(±Inf) = ±1, φ(±Inf) = 0,
-	// z·φ(±Inf) = 0 — exactly what BoundaryAt returns for any finite
-	// (mu, sigma). Precomputing them removes two transcendental evaluations
-	// per element per layer: for ReLU that is two of the three knots.
-	for t := 0; t <= n; t++ {
-		if math.IsInf(ak.knots[t], 0) {
-			ak.infB[t] = stats.Boundary{Erf: math.Copysign(1, ak.knots[t])}
-		} else {
-			ak.finiteIdx = append(ak.finiteIdx, t)
-		}
 	}
 	return ak
 }
@@ -433,28 +418,48 @@ func (ak *ActKernel) Moments(mu, variance float64, bounds []stats.Boundary, pms 
 	}
 
 	n := len(ak.k)
-	// The precomputed ±Inf boundaries assume (knot - mu)/sigma stays ±Inf,
-	// which holds for any finite mu and non-NaN sigma. The common path
-	// copies the constants wholesale and evaluates only the finite knots.
-	if !math.IsInf(mu, 0) && !math.IsNaN(mu) && !math.IsNaN(sigma) {
-		copy(bounds[:n+1], ak.infB)
-		for _, t := range ak.finiteIdx {
-			bounds[t] = stats.BoundaryAt(ak.knots[t], mu, sigma)
+	plo, phi := 0, n-1 // the live pieces
+	if isFinite(mu) && isFinite(sigma) {
+		// Knot window, one ascending scan: a knot at z ≤ −TailZ ends the
+		// dead pieces below it, the first knot at z ≥ +TailZ starts the dead
+		// pieces above it. Dead pieces lie between two constant tail
+		// boundaries, so their D, M, V are exact zeros and their terms add
+		// ±0 to sums that start at +0: skipping them changes no bit.
+		for t := 1; t < n; t++ {
+			z := (ak.knots[t] - mu) / sigma
+			if z <= -stats.TailZ {
+				plo = t
+				continue
+			}
+			if z >= stats.TailZ {
+				phi = t - 1
+				break
+			}
+			bounds[t] = stats.BoundaryZ(z)
 		}
+		if plo == phi {
+			// One live piece between two tail boundaries: D = 1, M = 0,
+			// V = σ²·1, which the assembly below reduces to exactly this.
+			k, c := ak.k[plo], ak.c[plo]
+			return k*mu + c, k * k * (sigma * sigma * 1)
+		}
+		bounds[plo] = stats.Boundary{Erf: -1}
+		bounds[phi+1] = stats.Boundary{Erf: 1}
 	} else {
+		// Non-finite moments standardize every knot, ±Inf ones included,
+		// so NaN reaches erf/exp and propagates as in the reference.
 		for t := 0; t <= n; t++ {
 			bounds[t] = stats.BoundaryAt(ak.knots[t], mu, sigma)
 		}
 	}
 
-	for i := 0; i < n; i++ {
+	for i := plo; i <= phi; i++ {
 		pms[i] = stats.MomentsBetween(bounds[i], bounds[i+1], sigma)
 	}
-
-	for i := 0; i < n; i++ {
+	for i := plo; i <= phi; i++ {
 		outMean += (ak.k[i]*mu+ak.c[i])*pms[i].D + ak.k[i]*pms[i].M
 	}
-	for i := 0; i < n; i++ {
+	for i := plo; i <= phi; i++ {
 		d := ak.k[i]*mu + ak.c[i] - outMean
 		outVar += ak.k[i]*ak.k[i]*pms[i].V + 2*ak.k[i]*d*pms[i].M + d*d*pms[i].D
 	}
@@ -463,3 +468,6 @@ func (ak *ActKernel) Moments(mu, variance float64, bounds []stats.Boundary, pms 
 	}
 	return outMean, outVar
 }
+
+// isFinite reports whether x is neither NaN nor ±Inf.
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

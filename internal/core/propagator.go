@@ -22,12 +22,12 @@ const (
 	OpsPerLinearPiece = 88
 	// OpsPerConstPiece is the per-element op count of a k = 0 piece.
 	OpsPerConstPiece = 24
-	// OpsPerExactMoments is the per-element op count of the exact rectifier
-	// moment backend (stats.RectifiedMoments): two erfc, one exp, and the
-	// surrounding arithmetic — the same transcendental mix as one constant
-	// plus one linear PWL piece, which is exactly what the 2-piece rectifier
-	// PWL costs, so exact-vs-PWL cost parity for ReLU layers holds by
-	// construction in the model.
+	// OpsPerExactMoments is the per-element op count charged to the exact
+	// rectifier moment backend (stats.RectifiedMoments): one erfc, one exp,
+	// and the surrounding arithmetic, counted as one constant plus one
+	// linear PWL piece — what the 2-piece rectifier PWL costs — so
+	// exact-vs-PWL cost parity for ReLU layers holds by construction in the
+	// model (the measured exact kernel is the cheaper of the two).
 	OpsPerExactMoments = OpsPerConstPiece + OpsPerLinearPiece
 )
 

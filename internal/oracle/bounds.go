@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"github.com/apdeepsense/apdeepsense/internal/nn"
+	"github.com/apdeepsense/apdeepsense/internal/piecewise"
+	"github.com/apdeepsense/apdeepsense/internal/stats"
 )
 
 // Budget is a sound, a-priori bound on how far the PWL-based moment
@@ -124,4 +126,31 @@ func weightNorms(l *nn.Layer) (a1, a2 float64) {
 		}
 	}
 	return a1, a2
+}
+
+// TailBudget bounds, a priori, how far the shared tail cutoff of the fast
+// moment kernels (stats.TailZ) moves the output moments of the continuous
+// PWL activation f, for a Gaussian with σ ≤ scale and |f(x_t) − E[f]| ≤ width
+// at every knot x_t. The cutoff leaves every erf term unchanged (it is
+// already ±1 there) and drops the density terms φ_t and z_t·φ_t of knots at
+// |z_t| ≥ TailZ. With Δk_t the slope change at knot t, the dropped terms
+// telescope across the two pieces sharing the knot (continuity gives
+// k_t·a_t − k_{t−1}·a_{t−1} = f(x_t)·Δk_t − σ·z_t·Δ(k²)_t for a_p = k_p·μ+c_p),
+// so with δ = truncated − untruncated and mean the untruncated mean:
+//
+//	δmean = −σ·Σ_t φ_t·Δk_t
+//	δvar  = Σ_t [σ²·z_t·φ_t·Δ(k²)_t − 2σ·φ_t·Δk_t·(f(x_t) − mean)] − δmean²
+//
+// and φ_t ≤ stats.TailPhiMax, |z_t|·φ_t ≤ stats.TailZPhiMax turn them into
+// the returned bounds. Nothing is tuned: the only inputs are the slopes.
+func TailBudget(f *piecewise.Func, scale, width float64) (mean, variance float64) {
+	var dk, dk2 float64
+	for i := 1; i < f.NumPieces(); i++ {
+		lo, hi := f.Piece(i-1).K, f.Piece(i).K
+		dk += math.Abs(hi - lo)
+		dk2 += math.Abs(hi*hi - lo*lo)
+	}
+	mean = scale * stats.TailPhiMax * dk
+	variance = scale*scale*stats.TailZPhiMax*dk2 + 2*width*mean + mean*mean
+	return mean, variance
 }

@@ -146,7 +146,6 @@ func (r *Ref) forwardQuant(qm *quantize.Model, g core.GaussianVec) (core.Gaussia
 			*dst = s
 		}
 	}
-	sqrt2OverPi := math.Sqrt(2 / math.Pi)
 	var cMu, cVar float64
 	var tMu, tVar float64
 	for i, l := range r.net.Layers() {
@@ -262,15 +261,8 @@ func (r *Ref) forwardQuant(qm *quantize.Model, g core.GaussianVec) (core.Gaussia
 			}
 		}
 		scaleQ := scale + tMu + tailSigmas*math.Sqrt(tVar)
-		lip := r.lips[i]
-		width := lip * scale
-		widthQ := lip * scaleQ
-		switch l.Act {
-		case nn.ActTanh:
-			width, widthQ = 2, 2
-		case nn.ActSigmoid:
-			width, widthQ = 1, 1
-		}
+		f := r.pwl[i]
+		width, widthQ := actWidth(l.Act, f, scale), actWidth(l.Act, f, scaleQ)
 
 		for j := range g.Mean {
 			g.Mean[j], g.Var[j] = ActMoments(r.pwlEval[i], r.breaks[i], g.Mean[j], g.Var[j])
@@ -283,14 +275,8 @@ func (r *Ref) forwardQuant(qm *quantize.Model, g core.GaussianVec) (core.Gaussia
 		if l.Act == nn.ActIdentity {
 			continue
 		}
-		cSig := math.Sqrt(cVar)
-		cMu, cVar =
-			condEps*scale+lip*cMu+lip*sqrt2OverPi*cSig,
-			condEps*scale*scale+2*lip*width*cMu+2*lip*width*sqrt2OverPi*cSig
-		tSig := math.Sqrt(tVar)
-		tMu, tVar =
-			condEps*scaleQ+lip*tMu+lip*sqrt2OverPi*tSig,
-			condEps*scaleQ*scaleQ+2*lip*widthQ*tMu+2*lip*widthQ*sqrt2OverPi*tSig
+		cMu, cVar = actInject(cMu, cVar, scale, width, f)
+		tMu, tVar = actInject(tMu, tVar, scaleQ, widthQ, f)
 	}
 	return g, CondBudget{Mean: cMu, Var: cVar}, QuantBudget{Mean: tMu, Var: tVar}, nil
 }

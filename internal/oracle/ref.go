@@ -31,9 +31,6 @@ type Ref struct {
 	// supErr is the measured sup-norm PWL fit error per layer, the per-piece
 	// bound feeding ErrorBudget.
 	supErr []float64
-	// lips is the Lipschitz constant of each layer's PWL fit (max |k_p|),
-	// the mean sensitivity entering the conditioning budget.
-	lips []float64
 	// kahan selects compensated dense accumulation for both forward passes.
 	kahan bool
 }
@@ -49,7 +46,6 @@ func NewRef(net *nn.Network, opts core.Options, kahan bool) (*Ref, error) {
 		trueAct: make([]func(float64) float64, len(layers)),
 		breaks:  make([][]float64, len(layers)),
 		supErr:  make([]float64, len(layers)),
-		lips:    make([]float64, len(layers)),
 		kahan:   kahan,
 	}
 	opts.TanhPieces = defaultPieces(opts.TanhPieces)
@@ -88,7 +84,6 @@ func NewRef(net *nn.Network, opts core.Options, kahan bool) (*Ref, error) {
 		}
 		r.pwl[i] = f
 		r.pwlEval[i] = scanEval(f.Pieces())
-		r.lips[i] = f.MaxAbsSlope()
 		for _, k := range f.Knots() {
 			if !math.IsInf(k, 0) {
 				r.breaks[i] = append(r.breaks[i], k)
@@ -146,9 +141,11 @@ func (r *Ref) SupErr(i int) float64 { return r.supErr[i] }
 // standardized quadrature and centered variance pass lose only ~eps·|result|.
 // The budget injects condEps·S and condEps·S² at every non-identity
 // activation (condEps is hundreds of ulps — generous headroom over the
-// handful of additions each closed form performs) and propagates the running
-// error with the same layer sensitivities ErrorBudget uses, evaluated on the
-// actual moments of this pass rather than worst-case assumptions.
+// handful of additions each closed form performs), plus the derived bound on
+// what the fast kernels' shared tail cutoff drops (TailBudget), and
+// propagates the running error with the same layer sensitivities ErrorBudget
+// uses, evaluated on the actual moments of this pass rather than worst-case
+// assumptions.
 type CondBudget struct {
 	Mean, Var float64
 }
@@ -226,7 +223,6 @@ func (r *Ref) forward(g core.GaussianVec, acts []func(float64) float64, breaks [
 // each layer exactly as the layer-local budget recursion does for the
 // running error of a standalone pass.
 func (r *Ref) forwardFromSeed(g core.GaussianVec, acts []func(float64) float64, breaks [][]float64, seedMu, seedVar float64) (core.GaussianVec, CondBudget, error) {
-	sqrt2OverPi := math.Sqrt(2 / math.Pi)
 	dMu, dVar := seedMu, seedVar
 	for i, l := range r.net.Layers() {
 		// Dense-step sensitivity on the running error, evaluated before the
@@ -259,14 +255,8 @@ func (r *Ref) forwardFromSeed(g core.GaussianVec, acts []func(float64) float64, 
 				scale = s
 			}
 		}
-		lip := r.lips[i]
-		width := lip * scale
-		switch l.Act {
-		case nn.ActTanh:
-			width = 2
-		case nn.ActSigmoid:
-			width = 1
-		}
+		f := r.pwl[i]
+		width := actWidth(l.Act, f, scale)
 
 		for j := range g.Mean {
 			g.Mean[j], g.Var[j] = ActMoments(acts[i], breaks[i], g.Mean[j], g.Var[j])
@@ -278,10 +268,7 @@ func (r *Ref) forwardFromSeed(g core.GaussianVec, acts []func(float64) float64, 
 		if l.Act == nn.ActIdentity {
 			continue
 		}
-		dSig := math.Sqrt(dVar)
-		dMu, dVar =
-			condEps*scale+lip*dMu+lip*sqrt2OverPi*dSig,
-			condEps*scale*scale+2*lip*width*dMu+2*lip*width*sqrt2OverPi*dSig
+		dMu, dVar = actInject(dMu, dVar, scale, width, f)
 	}
 	return g, CondBudget{Mean: dMu, Var: dVar}, nil
 }

@@ -52,27 +52,30 @@ func seqActFit(act nn.Activation, opts core.Options) (f *piecewise.Func, eval fu
 }
 
 // actInject applies one activation step of the conditioning-budget
-// recursion (the same expressions as forward()): fresh condEps noise at the
-// pre-activation moment scale, plus the incoming error amplified by the
-// activation's moment-map sensitivities.
-func actInject(dMu, dVar, scale, lip, width float64) (float64, float64) {
+// recursion, shared by every reference: fresh condEps noise at the
+// pre-activation moment scale, the derived tail-cutoff bound of f
+// (TailBudget), and the incoming error amplified by the activation's
+// moment-map sensitivities (lip = max |slope| of f).
+func actInject(dMu, dVar, scale, width float64, f *piecewise.Func) (float64, float64) {
 	sqrt2OverPi := math.Sqrt(2 / math.Pi)
+	lip := f.MaxAbsSlope()
+	tailMu, tailVar := TailBudget(f, scale, width)
 	dSig := math.Sqrt(dVar)
-	return condEps*scale + lip*dMu + lip*sqrt2OverPi*dSig,
-		condEps*scale*scale + 2*lip*width*dMu + 2*lip*width*sqrt2OverPi*dSig
+	return condEps*scale + tailMu + lip*dMu + lip*sqrt2OverPi*dSig,
+		condEps*scale*scale + tailVar + 2*lip*width*dMu + 2*lip*width*sqrt2OverPi*dSig
 }
 
 // actWidth returns the output-range bound W entering the variance
 // sensitivity: the range width for bounded activations, lip·scale for the
-// unbounded rest.
-func actWidth(act nn.Activation, lip, scale float64) float64 {
+// unbounded rest (lip = max |slope| of the fit f).
+func actWidth(act nn.Activation, f *piecewise.Func, scale float64) float64 {
 	switch act {
 	case nn.ActTanh:
 		return 2
 	case nn.ActSigmoid:
 		return 1
 	default:
-		return lip * scale
+		return f.MaxAbsSlope() * scale
 	}
 }
 
@@ -85,7 +88,7 @@ type ConvRef struct {
 	head   *Ref
 	evals  []func(float64) float64
 	breaks [][]float64
-	lips   []float64
+	fits   []*piecewise.Func
 	a1, a2 []float64
 }
 
@@ -103,7 +106,7 @@ func NewConvRef(n *conv.Net, opts core.Options) (*ConvRef, error) {
 		head:   head,
 		evals:  make([]func(float64) float64, len(convs)),
 		breaks: make([][]float64, len(convs)),
-		lips:   make([]float64, len(convs)),
+		fits:   make([]*piecewise.Func, len(convs)),
 		a1:     make([]float64, len(convs)),
 		a2:     make([]float64, len(convs)),
 	}
@@ -114,7 +117,7 @@ func NewConvRef(n *conv.Net, opts core.Options) (*ConvRef, error) {
 		}
 		r.evals[i] = eval
 		r.breaks[i] = breaks
-		r.lips[i] = f.MaxAbsSlope()
+		r.fits[i] = f
 		r.a1[i], r.a2[i] = convWeightNorms(l)
 	}
 	return r, nil
@@ -213,8 +216,8 @@ func (r *ConvRef) ForwardCond(x *conv.Seq) (core.GaussianVec, CondBudget, error)
 			out.Mean.Data[i], out.Var.Data[i] = ActMoments(r.evals[li], r.breaks[li], out.Mean.Data[i], out.Var.Data[i])
 		}
 		if l.Act != nn.ActIdentity {
-			lip := r.lips[li]
-			dMu, dVar = actInject(dMu, dVar, scale, lip, actWidth(l.Act, lip, scale))
+			f := r.fits[li]
+			dMu, dVar = actInject(dMu, dVar, scale, actWidth(l.Act, f, scale), f)
 		}
 		g = out
 	}
@@ -245,7 +248,7 @@ type RNNRef struct {
 	c        *rnn.Cell
 	eval     func(float64) float64
 	breaks   []float64
-	lip      float64
+	fit      *piecewise.Func
 	a1h, a2h float64
 	a1o, a2o float64
 }
@@ -256,7 +259,7 @@ func NewRNNRef(c *rnn.Cell, opts core.Options) (*RNNRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &RNNRef{c: c, eval: eval, breaks: breaks, lip: f.MaxAbsSlope()}
+	r := &RNNRef{c: c, eval: eval, breaks: breaks, fit: f}
 	r.a1h, r.a2h = matrixNorms(c.Wh)
 	r.a1o, r.a2o = matrixNorms(c.Wo)
 	return r, nil
@@ -344,7 +347,7 @@ func (r *RNNRef) ForwardCond(xs []tensor.Vector) (core.GaussianVec, CondBudget, 
 			h.Mean[j], h.Var[j] = ActMoments(r.eval, r.breaks, h.Mean[j], h.Var[j])
 		}
 		if c.Act != nn.ActIdentity {
-			dMu, dVar = actInject(dMu, dVar, scale, r.lip, actWidth(c.Act, r.lip, scale))
+			dMu, dVar = actInject(dMu, dVar, scale, actWidth(c.Act, r.fit, scale), r.fit)
 		}
 	}
 
@@ -396,8 +399,8 @@ type GRURef struct {
 	tanhEval   func(float64) float64
 	sigBreaks  []float64
 	tanhBreaks []float64
-	sigLip     float64
-	tanhLip    float64
+	sigFit     *piecewise.Func
+	tanhFit    *piecewise.Func
 
 	a1r, a2r float64
 	a1u, a2u float64
@@ -419,7 +422,7 @@ func NewGRURef(g *rnn.GRU, opts core.Options) (*GRURef, error) {
 		g:       g,
 		sigEval: sigEval, tanhEval: tanhEval,
 		sigBreaks: sigBreaks, tanhBreaks: tanhBreaks,
-		sigLip: sigF.MaxAbsSlope(), tanhLip: tanhF.MaxAbsSlope(),
+		sigFit: sigF, tanhFit: tanhF,
 	}
 	r.a1r, r.a2r = matrixNorms(g.Whr)
 	r.a1u, r.a2u = matrixNorms(g.Whu)
@@ -508,9 +511,9 @@ func (r *GRURef) ForwardCond(xs []tensor.Vector) (core.GaussianVec, CondBudget, 
 
 		// r and u gates: window the masked state through the gate weights,
 		// quadrature the sigmoid moments, inject at the gate scale.
-		rErr := r.gateRef(xr, mMean, mVar, g.Whr, g.Br, r.sigEval, r.sigBreaks, r.sigLip, 1,
+		rErr := r.gateRef(xr, mMean, mVar, g.Whr, g.Br, r.sigEval, r.sigBreaks, r.sigFit, 1,
 			eb{m: r.a1r * mErr.m, v: r.a2r * mErr.v}, rM, rV)
-		uErr := r.gateRef(xu, mMean, mVar, g.Whu, g.Bu, r.sigEval, r.sigBreaks, r.sigLip, 1,
+		uErr := r.gateRef(xu, mMean, mVar, g.Whu, g.Bu, r.sigEval, r.sigBreaks, r.sigFit, 1,
 			eb{m: r.a1u * mErr.m, v: r.a2u * mErr.v}, uM, uV)
 
 		// r ⊙ ĥ product moments and their budget.
@@ -521,7 +524,7 @@ func (r *GRURef) ForwardCond(xs []tensor.Vector) (core.GaussianVec, CondBudget, 
 		rmErr := productEB(supAbs(rM), supAbs(rV), rErr, supAbs(mMean), supAbs(mVar), mErr)
 
 		// Candidate gate (tanh, width 2).
-		cErr := r.gateRef(xc, rmM, rmV, g.Whc, g.Bc, r.tanhEval, r.tanhBreaks, r.tanhLip, 2,
+		cErr := r.gateRef(xc, rmM, rmV, g.Whc, g.Bc, r.tanhEval, r.tanhBreaks, r.tanhFit, 2,
 			eb{m: r.a1c * rmErr.m, v: r.a2c * rmErr.v}, cM, cV)
 
 		// h ← u⊙h + (1−u)⊙c: two products plus a sum; 1−u carries u's
@@ -556,7 +559,7 @@ func (r *GRURef) ForwardCond(xs []tensor.Vector) (core.GaussianVec, CondBudget, 
 // recurrent weights, quadrature activation moments into (outM, outV), and
 // the activation budget step applied to the incoming pre-activation error.
 func (r *GRURef) gateRef(x, inM, inV tensor.Vector, w *tensor.Matrix, b tensor.Vector,
-	eval func(float64) float64, breaks []float64, lip, width float64,
+	eval func(float64) float64, breaks []float64, fit *piecewise.Func, width float64,
 	preErr eb, outM, outV tensor.Vector) eb {
 	n := len(b)
 	preM := make(tensor.Vector, n)
@@ -575,6 +578,6 @@ func (r *GRURef) gateRef(x, inM, inV tensor.Vector, w *tensor.Matrix, b tensor.V
 		}
 		outM[j], outV[j] = ActMoments(eval, breaks, m, v)
 	}
-	dMu, dVar := actInject(preErr.m, preErr.v, scale, lip, width)
+	dMu, dVar := actInject(preErr.m, preErr.v, scale, width, fit)
 	return eb{m: dMu, v: dVar}
 }

@@ -3,10 +3,11 @@ package rnn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
-	"github.com/apdeepsense/apdeepsense/internal/piecewise"
+	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -175,19 +176,33 @@ func (l *LSTM) readout(h tensor.Vector) tensor.Vector {
 	return out
 }
 
+// lstmSigmoid and lstmTanh are the gate activation kernels, resolved once
+// per process: the PWL fits are deterministic and the kernels read-only.
+var lstmSigmoid, lstmTanh = kernelOnce(nn.ActSigmoid), kernelOnce(nn.ActTanh)
+
+func kernelOnce(act nn.Activation) func() (*core.ActKernel, error) {
+	return sync.OnceValues(func() (*core.ActKernel, error) {
+		_, ak, err := core.KernelFor(act, core.Options{})
+		return ak, err
+	})
+}
+
 // PropagateMoments runs the closed-form LSTM moment pass.
 func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
 	if err := l.checkSeq(xs); err != nil {
 		return core.GaussianVec{}, err
 	}
-	sig, err := piecewise.Sigmoid(7)
+	sig, err := lstmSigmoid()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
-	tanh, err := piecewise.Tanh(7)
+	tanh, err := lstmTanh()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
+	nb := max(sig.NumBounds(), tanh.NumBounds())
+	bounds := make([]stats.Boundary, nb)
+	pms := make([]stats.PartialMoments, nb)
 	n := l.HiddenDim
 	p := l.KeepProb
 	woSq := l.Wo.Square()
@@ -195,7 +210,7 @@ func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
 	type gateSpec struct {
 		wx, wh, whSq *tensor.Matrix
 		b            tensor.Vector
-		f            *piecewise.Func
+		ak           *core.ActKernel
 		outM, outV   tensor.Vector
 	}
 	gates := []gateSpec{
@@ -229,7 +244,7 @@ func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
 				if v < 0 {
 					v = 0
 				}
-				gt.outM[j], gt.outV[j] = core.ActivationMoments(m, v, gt.f)
+				gt.outM[j], gt.outV[j] = gt.ak.Moments(m, v, bounds, pms)
 			}
 		}
 		iM, iV := gates[0].outM, gates[0].outV
@@ -243,7 +258,7 @@ func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
 			c.Mean[j] = fcM + igM
 			c.Var[j] = fcV + igV
 			// h = o ⊙ tanh(c).
-			tcM, tcV := core.ActivationMoments(c.Mean[j], c.Var[j], tanh)
+			tcM, tcV := tanh.Moments(c.Mean[j], c.Var[j], bounds, pms)
 			h.Mean[j], h.Var[j] = productMoments(oM[j], oV[j], tcM, tcV)
 		}
 	}

@@ -191,3 +191,40 @@ func TestMomentsBetweenBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTailCutoffPremise checks what the shared cutoff relies on: past
+// TailZ, math.Erf(z/√2) is already exactly ±1 (so truncating leaves D
+// untouched — this fails if TailZ drops below 6√2), and the dropped density
+// terms φ(z) and |z|·φ(z) stay under TailPhiMax and TailZPhiMax, the bounds
+// the oracle's truncation budget is derived from.
+func TestTailCutoffPremise(t *testing.T) {
+	zs := []float64{TailZ, math.Nextafter(TailZ, 100)}
+	for z := float64(TailZ); z <= 40; z += 1.0 / 1024 {
+		zs = append(zs, z)
+	}
+	for _, z := range zs {
+		for _, s := range []float64{1, -1} {
+			if e := math.Erf(s * z / sqrt2); math.Float64bits(e) != math.Float64bits(s) {
+				t.Fatalf("erf(%v/√2) = %v (bits %#x), want exactly %v", s*z, e, math.Float64bits(e), s)
+			}
+			if b := BoundaryZ(s * z); b != (Boundary{Erf: s}) {
+				t.Fatalf("BoundaryZ(%v) = %+v, want the constant tail boundary", s*z, b)
+			}
+		}
+		phi := invSqrt2Pi * math.Exp(-0.5*z*z)
+		if phi > TailPhiMax {
+			t.Fatalf("φ(%v) = %v > TailPhiMax = %v", z, phi, TailPhiMax)
+		}
+		if zphi := z * phi; zphi > TailZPhiMax {
+			t.Fatalf("%v·φ(%v) = %v > TailZPhiMax = %v", z, z, zphi, TailZPhiMax)
+		}
+	}
+	// Just inside the cutoff the untruncated terms are kept.
+	z := math.Nextafter(TailZ, 0)
+	if b := BoundaryZ(-z); b.Phi == 0 || b.ZPhi == 0 {
+		t.Errorf("BoundaryZ(%v) = %+v, want the untruncated density terms", -z, b)
+	}
+	if nan := BoundaryZ(math.NaN()); !math.IsNaN(nan.Erf) || !math.IsNaN(nan.Phi) || !math.IsNaN(nan.ZPhi) {
+		t.Errorf("BoundaryZ(NaN) = %+v, want NaN in every term", nan)
+	}
+}

@@ -111,44 +111,11 @@ type PartialMoments struct {
 }
 
 // TruncatedMoments computes the partial moments of N(mu, sigma²) over
-// [lo, hi]. Infinite bounds are allowed; the implementation is numerically
-// stable for pieces far in the tails (where every term underflows to zero
-// together). sigma must be positive, and lo <= hi.
+// [lo, hi]. Infinite bounds are allowed; bounds standardized past TailZ
+// contribute the constant tail boundary (see BoundaryZ), so pieces far in the
+// tails carry exact zeros. sigma must be positive, and lo <= hi.
 func TruncatedMoments(lo, hi, mu, sigma float64) PartialMoments {
-	// Standardize: a = (lo-mu)/sigma, b = (hi-mu)/sigma.
-	a := (lo - mu) / sigma
-	b := (hi - mu) / sigma
-
-	var pm PartialMoments
-	pm.D = 0.5 * (math.Erf(b/sqrt2) - math.Erf(a/sqrt2))
-
-	// phi(a), phi(b): standard normal density; exp underflows gracefully for
-	// |z| beyond ~38, matching the mass underflow.
-	phiA := stdPhi(a)
-	phiB := stdPhi(b)
-
-	// M = sigma · (phi(a) − phi(b)).
-	pm.M = sigma * (phiA - phiB)
-
-	// V = sigma² · (D + a·phi(a) − b·phi(b)); the a·phi(a) terms vanish for
-	// infinite bounds since phi decays super-polynomially.
-	ta := 0.0
-	if !math.IsInf(a, 0) {
-		ta = a * phiA
-	}
-	tb := 0.0
-	if !math.IsInf(b, 0) {
-		tb = b * phiB
-	}
-	pm.V = sigma * sigma * (pm.D + ta - tb)
-	if pm.V < 0 {
-		// Guard against catastrophic cancellation on very thin slices.
-		pm.V = 0
-	}
-	if pm.D < 0 {
-		pm.D = 0
-	}
-	return pm
+	return MomentsBetween(BoundaryZ((lo-mu)/sigma), BoundaryZ((hi-mu)/sigma), sigma)
 }
 
 // stdPhi is the standard normal density.
@@ -174,17 +141,44 @@ type Boundary struct {
 	Erf, Phi, ZPhi float64
 }
 
-// BoundaryAt computes the boundary terms of N(mu, sigma²) at knot x. The
-// standardization and the per-term expressions match TruncatedMoments
-// exactly, so moments assembled from Boundary values are bit-identical to
-// the direct computation.
-func BoundaryAt(x, mu, sigma float64) Boundary {
-	z := (x - mu) / sigma
-	b := Boundary{Erf: math.Erf(z / sqrt2), Phi: stdPhi(z)}
-	if !math.IsInf(z, 0) {
-		b.ZPhi = z * b.Phi
+// TailZ is the shared tail cutoff of the truncated-moment terms: a knot
+// standardized to |z| ≥ TailZ contributes the constant boundary of an
+// infinite knot, {Erf ±1, φ 0, zφ 0}. It is at least 6√2, so math.Erf(z/√2)
+// is already exactly ±1 past it; the dropped density terms are bounded by
+// TailPhiMax and TailZPhiMax. Every moment path (TruncatedMoments,
+// BoundaryAt, and the batched kernels through BoundaryZ) truncates at the
+// same place, which keeps them bit-identical to one another.
+const TailZ = 9
+
+// TailPhiMax bounds the density term φ(z) dropped at any |z| ≥ TailZ, and
+// TailZPhiMax bounds the dropped tail term |z|·φ(z) (decreasing for |z| ≥ 1,
+// so both maxima sit at TailZ). Both are rounded up from
+// φ(9) = 1.0279773571668917e-18.
+const (
+	TailPhiMax  = 1.028e-18
+	TailZPhiMax = TailZ * TailPhiMax
+)
+
+// BoundaryZ computes the boundary terms at a knot already standardized to
+// z = (x − mu)/sigma. For |z| ≥ TailZ (including ±Inf) it returns the
+// constant tail boundary; NaN fails both comparisons and still reaches
+// math.Erf and math.Exp, so it propagates.
+func BoundaryZ(z float64) Boundary {
+	if z >= TailZ {
+		return Boundary{Erf: 1}
 	}
-	return b
+	if z <= -TailZ {
+		return Boundary{Erf: -1}
+	}
+	phi := invSqrt2Pi * math.Exp(-0.5*z*z)
+	return Boundary{Erf: math.Erf(z / sqrt2), Phi: phi, ZPhi: z * phi}
+}
+
+// BoundaryAt computes the boundary terms of N(mu, sigma²) at knot x. The
+// standardization matches TruncatedMoments exactly, so moments assembled
+// from Boundary values are bit-identical to the direct computation.
+func BoundaryAt(x, mu, sigma float64) Boundary {
+	return BoundaryZ((x - mu) / sigma)
 }
 
 // MomentsBetween assembles the partial moments of N(mu, sigma²) over one

@@ -61,6 +61,7 @@ go test -run NONE -fuzz 'FuzzCompiledVsInterpreted' -fuzztime 10s ./internal/pro
 go test -run NONE -fuzz 'FuzzQuantizedVsFloat' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzExactVsOracle' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 10s ./internal/proptest
+go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 10s ./internal/core
 go test -run NONE -fuzz 'FuzzQMadd' -fuzztime 10s ./internal/tensor
 go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 10s ./internal/nn
 
