@@ -1,13 +1,13 @@
 # Developer entry points. `make check` is the pre-merge gate: vet + build +
 # race tests over the numeric hot paths, the observability/serving path, and
 # the oracle-backed differential harness + a fuzz smoke pass over every fuzz
-# target + the batched propagation benchmark with its metrics snapshot
-# (results/BENCH_batch.json, results/BENCH_obs.prom) + smoke runs of the
-# serving, registry, quantized-propagator, and sequence-path benchmarks
-# (the last two diffed against their committed trajectories with
-# tools/benchdiff).
+# target + smoke runs of the batched-propagation (with its metrics
+# snapshot), serving, registry, sequence-path, cluster, and session-fleet
+# benchmarks (the last three diffed against their committed trajectories
+# with tools/benchdiff). The smokes write to a scratch directory, never to
+# results/.
 
-.PHONY: check test fuzz bench bench-hooks bench-serve bench-registry bench-quant bench-cluster bench-seq bench-sessions build
+.PHONY: check test fuzz bench bench-hooks bench-serve bench-registry bench-cluster bench-seq bench-sessions build
 
 check:
 	./tools/check.sh
@@ -24,11 +24,9 @@ fuzz:
 	go test -run NONE -fuzz 'FuzzPropagateVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzBatchVsSequential' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzCompiledVsInterpreted' -fuzztime 2m ./internal/proptest
-	go test -run NONE -fuzz 'FuzzQuantizedVsFloat' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzExactVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 2m ./internal/core
-	go test -run NONE -fuzz 'FuzzQMadd' -fuzztime 2m ./internal/tensor
 	go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 2m ./internal/nn
 
 bench:
@@ -52,13 +50,6 @@ bench-serve:
 # candidate, recorded as results/BENCH_registry.json (the committed artifact).
 bench-registry:
 	go run ./cmd/apds-bench -registry -results results
-
-# The quantized-propagator benchmark: the int8/int16 fixed-point path vs the
-# float engine at batch 1/8/64, plus model-size and Edison cost-model
-# projections, recorded as results/BENCH_quant.json (the committed
-# artifact). `tools/benchdiff` diffs a fresh run against it in check.sh.
-bench-quant:
-	go run ./cmd/apds-bench -quant -results results
 
 # The cluster benchmark: N replica processes behind the consistent-hash
 # router under open-loop load — replica scaling at fixed offered load, node

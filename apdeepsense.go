@@ -30,7 +30,6 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/mcdrop"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/obs"
-	"github.com/apdeepsense/apdeepsense/internal/qprop"
 	"github.com/apdeepsense/apdeepsense/internal/quantize"
 	"github.com/apdeepsense/apdeepsense/internal/rdeepsense"
 	"github.com/apdeepsense/apdeepsense/internal/registry"
@@ -219,30 +218,6 @@ type (
 //
 // Deprecated: see CompiledProgram.
 var CompileProgram = compile.Compile
-
-// Quantized propagation re-exports (internal/qprop): moment propagation run
-// directly on int8 weight codes with fixed-point accumulation — an
-// approximation held to the oracle's a-priori quantization error budget, not
-// a bit-identical specialization. The model registry builds these for
-// versions that opt in (ModelRegistryConfig.EnableQuantized, SetQuantized,
-// or "quantized": true in the manifest); direct users do:
-//
-//	qp, _, _ := QuantizeProgram(net, apdeepsense.Options{})
-//	est.Propagator().SetQuantized(qp) // takes dispatch priority everywhere
-type (
-	// QuantizedPropagator is a fixed-point propagation program.
-	QuantizedPropagator = qprop.Propagator
-	// QuantizedProgram is the interface dispatch accepts via SetQuantized.
-	QuantizedProgram = core.QuantizedProgram
-)
-
-// QuantizeProgram quantizes net to int8 and builds its fixed-point
-// propagation program (the quantized model is returned alongside); it fails
-// rather than install codes that cannot represent the weights (non-finite
-// or overflowing scales).
-func QuantizeProgram(net *Network, opts Options) (*qprop.Propagator, *quantize.Model, error) {
-	return qprop.Build(net, opts)
-}
 
 // Serving re-exports (internal/serve): the dynamic micro-batching layer that
 // coalesces concurrent single-row predict requests onto the batched
@@ -540,7 +515,9 @@ var (
 )
 
 // Quantization re-exports (internal/quantize): int8 post-training weight
-// quantization for flash-constrained deployment.
+// quantization as a compact file format for flash-constrained deployment.
+// A quantized model serves by Dequantize-ing into an ordinary Network, so
+// it runs on the same float engine as any other model.
 type (
 	// QuantizedModel is an int8-quantized network.
 	QuantizedModel = quantize.Model

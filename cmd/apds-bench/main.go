@@ -50,7 +50,6 @@ func run(args []string) error {
 	serveBench := fs.Bool("serve", false, "benchmark coalesced vs per-request serving under closed-loop load (writes BENCH_serve.json)")
 	serveCell := fs.Duration("serve-duration", 2*time.Second, "with -serve: measured wall time per (concurrency, mode) cell")
 	registryBench := fs.Bool("registry", false, "benchmark registry serving under continuous hot-swap/reload/shadow (writes BENCH_registry.json)")
-	quantBench := fs.Bool("quant", false, "benchmark the int8 fixed-point propagator vs the float engine, plus model-size and Edison projections (writes BENCH_quant.json)")
 	seqBench := fs.Bool("seq", false, "benchmark the conv/RNN/GRU sequence moment paths and the exact activation backend on dense rectifier nets (writes BENCH_seq.json)")
 	clusterBench := fs.Bool("cluster", false, "benchmark the sharded multi-replica serving tier under open-loop load (writes BENCH_cluster.json)")
 	sessionsBench := fs.Bool("sessions", false, "benchmark the resident session fleet: create/ingest/window throughput, snapshot/restore, idle churn (writes BENCH_stream.json)")
@@ -76,8 +75,8 @@ func run(args []string) error {
 		// observe, so imply -batch rather than fail.
 		*batch = true
 	}
-	if !*all && *tableN == 0 && *figN == 0 && !*ablations && !*verify && !*batch && !*serveBench && !*registryBench && !*quantBench && !*seqBench && !*clusterBench && !*sessionsBench {
-		return fmt.Errorf("nothing to do: pass -all, -table N, -fig N, -ablations, -verify, -batch, -serve, -registry, -quant, -seq, -cluster, -sessions, or -obs")
+	if !*all && *tableN == 0 && *figN == 0 && !*ablations && !*verify && !*batch && !*serveBench && !*registryBench && !*seqBench && !*clusterBench && !*sessionsBench {
+		return fmt.Errorf("nothing to do: pass -all, -table N, -fig N, -ablations, -verify, -batch, -serve, -registry, -seq, -cluster, -sessions, or -obs")
 	}
 
 	scale, err := scaleByName(*scaleName)
@@ -151,11 +150,6 @@ func run(args []string) error {
 	}
 	if *registryBench {
 		if err := emitRegistryBench(*resultDir, *registryCell); err != nil {
-			return err
-		}
-	}
-	if *quantBench {
-		if err := emitQuantBench(*resultDir); err != nil {
 			return err
 		}
 	}

@@ -109,14 +109,11 @@ func (p *Propagator) PropagateBatchFrom(gb GaussianBatch) (GaussianBatch, error)
 const MinRowsPerWorker = 8
 
 // propagateBatch is the one dispatch every propagation entry point goes
-// through. It routes the validated batch to the installed quantized program
-// (SetQuantized) first, else to the installed compiled program
+// through. It routes the validated batch to the installed compiled program
 // (SetCompiled) when the batch fits its registered maximum, otherwise to the
-// engine's row-chunk path. Compiled and engine produce Float64bits-identical
-// results; the quantized path is an approximation held to the oracle's
-// quantization error budget instead. A non-nil trace (one row, one slot per
-// layer; PropagateTrace) skips both programs, because only the engine can
-// record the per-layer states.
+// engine's row-chunk path; the two produce Float64bits-identical results. A
+// non-nil trace (one row, one slot per layer; PropagateTrace) skips the
+// compiled program, because only the engine can record the per-layer states.
 func (p *Propagator) propagateBatch(gb GaussianBatch, trace []GaussianVec) GaussianBatch {
 	b := gb.Batch()
 	out := NewGaussianBatch(b, p.net.OutputDim())
@@ -131,10 +128,6 @@ func (p *Propagator) propagateBatch(gb GaussianBatch, trace []GaussianVec) Gauss
 		p.propagateRows(gb, out, 0, b, h, trace)
 		return out
 	}
-	if q := p.Quantized(); q != nil && b <= q.MaxBatch() {
-		q.RunBatch(gb, out, h)
-		return out
-	}
 	if c := p.Compiled(); c != nil && b <= c.MaxBatch() {
 		c.RunBatch(gb, out, h)
 		return out
@@ -144,10 +137,9 @@ func (p *Propagator) propagateBatch(gb GaussianBatch, trace []GaussianVec) Gauss
 }
 
 // PropagateBatchReference runs the engine's batched path unconditionally,
-// bypassing any installed quantized or compiled program. It is the
-// reference side of the bit-identity gate: internal/compile warms new
-// programs against it, and internal/proptest compares the compiled path to
-// it over the full corpus.
+// bypassing any installed compiled program. It is the reference side of the
+// bit-identity gate: internal/compile warms new programs against it, and
+// internal/proptest compares the compiled path to it over the full corpus.
 func (p *Propagator) PropagateBatchReference(gb GaussianBatch) (GaussianBatch, error) {
 	if gb.Dim() != p.net.InputDim() {
 		return GaussianBatch{}, fmt.Errorf("propagate-batch-reference: input dim %d, want %d: %w", gb.Dim(), p.net.InputDim(), ErrInput)

@@ -33,9 +33,7 @@ type Hooks struct {
 // (SetCompiled) fires the same hooks the engine would — BatchStart once at
 // dispatch, LayerTime per fused layer step per chunk, and ScratchGet per
 // free-list acquisition (hit = recycled buffer set, miss = overflow
-// allocation). A quantized program (SetQuantized) fires BatchStart and
-// ScratchGet but not LayerTime. Outputs are bit-identical with or without
-// hooks either way.
+// allocation). Outputs are bit-identical with or without hooks either way.
 
 // SetHooks attaches (or, with nil, detaches) observability hooks. It may be
 // called at any time, including while other goroutines propagate: the

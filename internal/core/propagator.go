@@ -103,11 +103,6 @@ type Propagator struct {
 	// (SetCompiled / internal/compile). Snapshotted once per propagation
 	// call; uninstalled it costs one atomic pointer load.
 	compiledProg atomic.Pointer[compiledHolder]
-
-	// quantizedProg holds the optional fixed-point program (SetQuantized /
-	// internal/qprop). When installed it outranks both the compiled and the
-	// interpreted paths on every propagation entry point; see quantized.go.
-	quantizedProg atomic.Pointer[quantizedHolder]
 }
 
 // NewPropagator prepares ApDeepSense inference for net. Optional behavior
@@ -165,7 +160,7 @@ func (p *Propagator) ActivationPieces(i int) int { return p.acts[i].NumPieces() 
 // activation (eqs. 12–26), yielding the Gaussian approximation of the output
 // distribution. Narrow outputs mean low uncertainty; wide outputs mean high
 // uncertainty (paper §III-D summary). It is a one-row call of the batched
-// engine, so it takes the same dispatch (quantized or compiled program when
+// engine, so it takes the same dispatch (the compiled program when
 // installed) and fires the same hooks as PropagateBatch.
 func (p *Propagator) Propagate(x tensor.Vector) (GaussianVec, error) {
 	if len(x) != p.net.InputDim() {
@@ -189,9 +184,9 @@ func (p *Propagator) PropagateFrom(g GaussianVec) (GaussianVec, error) {
 // Gaussian state after every layer (post-activation, before the next
 // layer's dropout), index 0 being the first layer's output. It powers
 // layer-wise diagnostics such as Figure 1's hidden-unit distribution checks
-// and variance-flow debugging. It always runs the float engine, never an
-// installed quantized or compiled program: only the engine can capture the
-// per-layer states.
+// and variance-flow debugging. It always runs the engine, never an
+// installed compiled program: only the engine can capture the per-layer
+// states.
 func (p *Propagator) PropagateTrace(x tensor.Vector) (GaussianVec, []GaussianVec, error) {
 	if len(x) != p.net.InputDim() {
 		return GaussianVec{}, nil, fmt.Errorf("propagate-trace: input dim %d, want %d: %w", len(x), p.net.InputDim(), ErrInput)

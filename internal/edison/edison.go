@@ -36,12 +36,6 @@ type Cost struct {
 	ElementOps int64
 	// RandomDraws counts pseudo-random numbers generated (dropout masks).
 	RandomDraws int64
-	// IntMACs counts fixed-point multiply-accumulates inside quantized
-	// dense kernels (internal/qprop): int16 activation codes against
-	// int8-ranged weight codes, accumulated in int32/int64. They run at
-	// the device's integer-MAC throughput, which on SIMD-capable cores is
-	// several times the float64 streaming rate.
-	IntMACs int64
 }
 
 // Add returns the sum of two costs.
@@ -50,7 +44,6 @@ func (c Cost) Add(o Cost) Cost {
 		DenseFLOPs:  c.DenseFLOPs + o.DenseFLOPs,
 		ElementOps:  c.ElementOps + o.ElementOps,
 		RandomDraws: c.RandomDraws + o.RandomDraws,
-		IntMACs:     c.IntMACs + o.IntMACs,
 	}
 }
 
@@ -60,7 +53,6 @@ func (c Cost) Scale(k int64) Cost {
 		DenseFLOPs:  c.DenseFLOPs * k,
 		ElementOps:  c.ElementOps * k,
 		RandomDraws: c.RandomDraws * k,
-		IntMACs:     c.IntMACs * k,
 	}
 }
 
@@ -78,12 +70,6 @@ type Device struct {
 	RandomNanos float64
 	// ActivePowerWatts is the package power while computing.
 	ActivePowerWatts float64
-	// IntMACsPerSec is the fixed-point multiply-accumulate throughput for
-	// quantized dense kernels. Zero means "not calibrated": TimeMillis then
-	// falls back to 4× DenseFLOPS, the conservative width advantage of
-	// 16-bit paired MACs over float64 on the same SIMD datapath, so Device
-	// literals predating the quantized path keep working unchanged.
-	IntMACsPerSec float64
 }
 
 // NewEdison returns the default Intel Edison model. The constants are
@@ -97,7 +83,6 @@ func NewEdison() *Device {
 		ElementOpNanos:   55,    // per-element graph-op overhead
 		RandomNanos:      30,
 		ActivePowerWatts: 0.85,
-		IntMACsPerSec:    880e6, // paired int16 MACs: ~4x the float64 GEMV rate
 	}
 }
 
@@ -112,22 +97,14 @@ func (d *Device) Validate() error {
 	if d.ActivePowerWatts <= 0 {
 		return fmt.Errorf("active power %v: %w", d.ActivePowerWatts, ErrConfig)
 	}
-	if d.IntMACsPerSec < 0 {
-		return fmt.Errorf("integer MAC throughput %v: %w", d.IntMACsPerSec, ErrConfig)
-	}
 	return nil
 }
 
 // TimeMillis converts a cost into modeled execution milliseconds.
 func (d *Device) TimeMillis(c Cost) float64 {
-	intRate := d.IntMACsPerSec
-	if intRate == 0 {
-		intRate = 4 * d.DenseFLOPS
-	}
 	seconds := float64(c.DenseFLOPs)/d.DenseFLOPS +
 		float64(c.ElementOps)*d.ElementOpNanos*1e-9 +
-		float64(c.RandomDraws)*d.RandomNanos*1e-9 +
-		float64(c.IntMACs)/intRate
+		float64(c.RandomDraws)*d.RandomNanos*1e-9
 	return seconds * 1e3
 }
 

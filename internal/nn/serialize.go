@@ -93,7 +93,11 @@ func Load(r io.Reader) (*Network, error) {
 	}
 	layers := make([]*Layer, 0, len(wm.Layers))
 	for i, wl := range wm.Layers {
-		if wl.InDim < 1 || wl.OutDim < 1 || len(wl.Weights) != wl.InDim*wl.OutDim || len(wl.Bias) != wl.OutDim {
+		// InDim is bounded before the product is taken: a crafted
+		// InDim·OutDim can overflow int and match a short (even empty)
+		// weight slice.
+		if wl.InDim < 1 || wl.OutDim < 1 || wl.InDim > math.MaxInt/wl.OutDim ||
+			len(wl.Weights) != wl.InDim*wl.OutDim || len(wl.Bias) != wl.OutDim {
 			return nil, fmt.Errorf("nn: layer %d has inconsistent shapes: %w: %w", i, ErrModel, ErrConfig)
 		}
 		act := Activation(wl.Act)

@@ -105,6 +105,10 @@ func TestLoadRejectsWrongMagicAndVersion(t *testing.T) {
 		{"bad keep prob", wireModel{Magic: modelMagic, Version: modelVersion, Layers: []wireLayer{{
 			InDim: 1, OutDim: 1, Weights: []float64{1}, Bias: []float64{0}, Act: int(ActReLU), KeepProb: 0,
 		}}}},
+		// InDim·OutDim wraps to 0, matching the empty weight slice.
+		{"overflowing dims", wireModel{Magic: modelMagic, Version: modelVersion, Layers: []wireLayer{{
+			InDim: 1 << 62, OutDim: 4, Bias: []float64{0, 0, 0, 0}, Act: int(ActIdentity), KeepProb: 1,
+		}}}},
 	}
 	for _, c := range cases {
 		if _, err := Load(bytes.NewReader(encode(c.wm))); !errors.Is(err, ErrConfig) {

@@ -4,10 +4,9 @@
 // paper's DeepIoT reference [35] addresses the same pressure via structure
 // compression). Weights quantize per-output-channel with symmetric scaling;
 // biases stay in float64 (they are negligible in size and
-// precision-critical). Inference runs either on the dequantized float
-// network (Dequantize, every estimator composes unchanged) or directly on
-// the integer codes via the fixed-point moment propagator in internal/qprop,
-// whose accuracy internal/oracle bounds a priori per model.
+// precision-critical). The int8 model is a file format only: inference runs
+// on the dequantized float network (Dequantize), so every estimator composes
+// unchanged and serves on the same float engine as any other model.
 package quantize
 
 import (
@@ -32,8 +31,7 @@ var ErrInput = errors.New("quantize: invalid input")
 var ErrModel = errors.New("quantize: invalid model data")
 
 // QMax is the symmetric int8 quantization ceiling: weight codes live in
-// [-QMax, QMax]. The derived squared-weight codes (SquareCodes) reuse the
-// same ceiling on [0, QMax].
+// [-QMax, QMax].
 const QMax = 127
 
 // modelMagic and modelVersion guard the on-disk format so stale or foreign
@@ -140,53 +138,10 @@ func Quantize(net *nn.Network) (*Model, error) {
 	return m, nil
 }
 
-// SquareCodes derives the squared-weight panel the variance moment needs
-// (internal/core propagates Var through W²) from the int8 mean codes alone
-// — no extra bytes in the serialized model. For column j with mean codes c
-// and mean scale s, let m2 = max_i c_i²; then
-//
-//	code2_i  = round(c_i² · QMax / m2) ∈ [0, QMax]
-//	scale2_j = s² · m2 / QMax
-//
-// so scale2·code2 ≈ (s·c)², the square of the dequantized weight. The
-// re-quantization to 7 bits is what keeps the fixed-point variance
-// accumulation inside the int32 overflow budget of tensor.QPairBlock; the
-// reconstruction error it adds is measured exactly by the oracle's
-// quantization error budget (internal/oracle), not assumed.
-func (q *Layer) SquareCodes() (codes []int8, scales []float64) {
-	codes = make([]int8, len(q.W))
-	scales = make([]float64, q.OutDim)
-	for j := 0; j < q.OutDim; j++ {
-		var m2 int
-		for i := 0; i < q.InDim; i++ {
-			c := int(q.W[i*q.OutDim+j])
-			if cc := c * c; cc > m2 {
-				m2 = cc
-			}
-		}
-		if m2 == 0 {
-			// All-zero column: zero codes reconstruct exactly with any
-			// scale; keep the mean scale's square for a finite value.
-			scales[j] = q.Scales[j] * q.Scales[j]
-			continue
-		}
-		scales[j] = q.Scales[j] * q.Scales[j] * float64(m2) / QMax
-		for i := 0; i < q.InDim; i++ {
-			c := int(q.W[i*q.OutDim+j])
-			code := math.Round(float64(c*c) * QMax / float64(m2))
-			if code > QMax {
-				code = QMax
-			}
-			codes[i*q.OutDim+j] = int8(code)
-		}
-	}
-	return codes, scales
-}
-
 // Validate checks the structural and numeric invariants of a model:
 // consistent shapes, chained layer dimensions, finite positive scales,
-// finite biases, valid activations, and keep probabilities in (0, 1]. Both
-// Load and the fixed-point propagator call it before trusting the codes.
+// finite biases, valid activations, and keep probabilities in (0, 1]. Load
+// and Dequantize call it before trusting the codes.
 func (m *Model) Validate() error {
 	if len(m.Layers) == 0 {
 		return fmt.Errorf("empty model: %w", ErrInput)
@@ -200,7 +155,9 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("layer %d input dim %d != previous output dim %d: %w", li, q.InDim, prevOut, ErrInput)
 		}
 		prevOut = q.OutDim
-		if len(q.W) != q.InDim*q.OutDim || len(q.Scales) != q.OutDim || len(q.B) != q.OutDim {
+		// Bound InDim first: a crafted InDim·OutDim can overflow int and
+		// match a short (even empty) code slice.
+		if q.InDim > math.MaxInt/q.OutDim || len(q.W) != q.InDim*q.OutDim || len(q.Scales) != q.OutDim || len(q.B) != q.OutDim {
 			return fmt.Errorf("layer %d inconsistent shapes: %w", li, ErrInput)
 		}
 		for j, s := range q.Scales {

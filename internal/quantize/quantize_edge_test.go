@@ -115,45 +115,6 @@ func TestQuantizeRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestSquareCodes checks the derived squared-weight panel against its spec:
-// codes in [0, QMax], scale2·code2 within scale2/2 of the exact squared
-// dequantized weight, and all-zero columns reconstructing exactly.
-func TestSquareCodes(t *testing.T) {
-	net := singleLayerNet(t, 5, 3, func(i, j int) float64 {
-		if j == 2 {
-			return 0 // all-zero column
-		}
-		return float64(i*3-j*7) / 11
-	})
-	m, err := Quantize(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := m.Layers[0]
-	codes2, scales2 := q.SquareCodes()
-	if len(codes2) != len(q.W) || len(scales2) != q.OutDim {
-		t.Fatalf("SquareCodes shapes %d/%d", len(codes2), len(scales2))
-	}
-	for i := 0; i < q.InDim; i++ {
-		for j := 0; j < q.OutDim; j++ {
-			c2 := codes2[i*q.OutDim+j]
-			if c2 < 0 || c2 > QMax {
-				t.Fatalf("square code [%d,%d] = %d out of [0,%d]", i, j, c2, QMax)
-			}
-			wq := float64(q.W[i*q.OutDim+j]) * q.Scales[j]
-			got := float64(c2) * scales2[j]
-			if d := math.Abs(got - wq*wq); d > scales2[j]/2*(1+1e-9) {
-				t.Fatalf("square reconstruction [%d,%d]: |%v - %v| > scale2/2 = %v", i, j, got, wq*wq, scales2[j]/2)
-			}
-		}
-	}
-	for i := 0; i < q.InDim; i++ {
-		if codes2[i*q.OutDim+2] != 0 {
-			t.Fatalf("zero column square code [%d,2] = %d", i, codes2[i*q.OutDim+2])
-		}
-	}
-}
-
 // fixtureModel is the hand-built deterministic model behind the golden
 // wire-format fixture. Do not change it: the fixture pins the v1 format.
 func fixtureModel() *Model {
@@ -255,7 +216,9 @@ func TestLoadRejectsLegacyStream(t *testing.T) {
 }
 
 // TestLoadRejectsBadVersionAndValidate covers the remaining Load rejections:
-// future versions and structurally invalid models.
+// future versions and structurally invalid models, including dimensions
+// whose product overflows int (which would otherwise pass the shape check
+// and panic in Dequantize).
 func TestLoadRejectsBadVersionAndValidate(t *testing.T) {
 	enc := func(wm wireModel) *bytes.Reader {
 		var buf bytes.Buffer
@@ -270,10 +233,20 @@ func TestLoadRejectsBadVersionAndValidate(t *testing.T) {
 	if _, err := Load(enc(wireModel{Magic: "apds-model", Version: modelVersion})); !errors.Is(err, ErrModel) {
 		t.Errorf("wrong magic err = %v, want ErrModel", err)
 	}
-	bad := wireModel{Magic: modelMagic, Version: modelVersion, Layers: []wireLayer{{
-		InDim: 2, OutDim: 1, Codes: []int8{1, 2}, Scales: []float64{math.Inf(1)}, Bias: []float64{0}, Act: int(nn.ActReLU), KeepProb: 1,
-	}}}
-	if _, err := Load(enc(bad)); !errors.Is(err, ErrModel) {
-		t.Errorf("non-finite scale err = %v, want ErrModel", err)
+	for _, c := range []struct {
+		name  string
+		layer wireLayer
+	}{
+		{"non-finite scale", wireLayer{
+			InDim: 2, OutDim: 1, Codes: []int8{1, 2}, Scales: []float64{math.Inf(1)}, Bias: []float64{0}, Act: int(nn.ActReLU), KeepProb: 1,
+		}},
+		{"overflowing dims", wireLayer{
+			InDim: 1 << 62, OutDim: 4, Scales: []float64{1, 1, 1, 1}, Bias: []float64{0, 0, 0, 0}, Act: int(nn.ActIdentity), KeepProb: 1,
+		}},
+	} {
+		bad := wireModel{Magic: modelMagic, Version: modelVersion, Layers: []wireLayer{c.layer}}
+		if _, err := Load(enc(bad)); !errors.Is(err, ErrModel) {
+			t.Errorf("%s: err = %v, want ErrModel", c.name, err)
+		}
 	}
 }

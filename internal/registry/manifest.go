@@ -97,20 +97,12 @@ func parseOptionalDuration(field, s string) (time.Duration, error) {
 
 // ManifestModel is one model entry.
 type ManifestModel struct {
-	Name   string  `json:"name"`
-	ObsVar float64 `json:"obs_var,omitempty"`
-	// Quantized opts this model's versions into the int8 fixed-point serving
-	// path (see Config.EnableQuantized; a version whose weights the scheme
-	// rejects falls back to float serving). The flag applies at build time:
-	// versions are immutable once built, so flipping it on a reload affects
-	// only versions added after the change — bump a version's id to rebuild
-	// it under the new setting (VersionStatus.Quantized always reports what
-	// a standing version actually serves).
-	Quantized bool              `json:"quantized,omitempty"`
-	Versions  []ManifestVersion `json:"versions"`
-	Current   string            `json:"current"`
-	Canary    *ManifestCanary   `json:"canary,omitempty"`
-	Shadow    string            `json:"shadow,omitempty"`
+	Name     string            `json:"name"`
+	ObsVar   float64           `json:"obs_var,omitempty"`
+	Versions []ManifestVersion `json:"versions"`
+	Current  string            `json:"current"`
+	Canary   *ManifestCanary   `json:"canary,omitempty"`
+	Shadow   string            `json:"shadow,omitempty"`
 }
 
 // ManifestVersion names one serialized model file.
@@ -253,9 +245,6 @@ func (r *Registry) Apply(man *Manifest, baseDir string) error {
 
 func (r *Registry) applyModel(mm ManifestModel, baseDir string) error {
 	if err := r.SetObsVar(mm.Name, mm.ObsVar); err != nil {
-		return err
-	}
-	if err := r.SetQuantized(mm.Name, mm.Quantized); err != nil {
 		return err
 	}
 	declared := make(map[string]bool, len(mm.Versions))

@@ -333,29 +333,35 @@ func TestApplyRejectsUnreadableModelFile(t *testing.T) {
 	}
 }
 
-// TestManifestLegacyActivationMoments: manifests written while the
-// activation-moment backend was selectable may still carry
-// "activation_moments". The key is ignored like any unknown key, so a
-// rectifier model declared "pwl" loads and serves the exact moments its
-// activation picks, bit-identical to a directly built estimator.
+// TestManifestLegacyActivationMoments: manifests written by older versions
+// may still carry keys that no longer select anything — "activation_moments"
+// (from when the activation-moment backend was selectable) and "quantized"
+// (from when a model could opt into the int8 runtime). Each is ignored like
+// any unknown key: the model loads and serves the float engine's answers,
+// bit-identical to the same network served from a manifest without the key
+// and to a directly built estimator.
 func TestManifestLegacyActivationMoments(t *testing.T) {
 	dir := t.TempDir()
 	writeModel(t, dir, "a.model", 1)
-	manPath := filepath.Join(dir, "registry.json")
-	legacy := `{"models": [{"name": "demo", "activation_moments": "pwl",
-		"versions": [{"id": "v1", "path": "a.model"}], "current": "v1"}]}`
-	if err := os.WriteFile(manPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := New(Config{})
-	defer closeRegistry(t, r)
-	if _, err := NewLoader(r, manPath).Reload(true); err != nil {
-		t.Fatal(err)
-	}
 	x := tensor.Vector{0.5, -1, 2}
-	got, _, err := r.Predict(context.Background(), "demo", "k", x)
-	if err != nil {
-		t.Fatal(err)
+	serve := func(extra string) core.GaussianVec {
+		t.Helper()
+		manPath := filepath.Join(dir, "registry.json")
+		man := `{"models": [{"name": "demo", ` + extra +
+			`"versions": [{"id": "v1", "path": "a.model"}], "current": "v1"}]}`
+		if err := os.WriteFile(manPath, []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := New(Config{})
+		defer closeRegistry(t, r)
+		if _, err := NewLoader(r, manPath).Reload(true); err != nil {
+			t.Fatalf("manifest with %q: %v", extra, err)
+		}
+		g, _, err := r.Predict(context.Background(), "demo", "k", x)
+		if err != nil {
+			t.Fatalf("manifest with %q: %v", extra, err)
+		}
+		return g
 	}
 	direct, err := core.NewApDeepSense(testNet(t, 1), core.Options{}, 0)
 	if err != nil {
@@ -365,11 +371,22 @@ func TestManifestLegacyActivationMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Mean {
-		if math.Float64bits(got.Mean[i]) != math.Float64bits(want.Mean[i]) ||
-			math.Float64bits(got.Var[i]) != math.Float64bits(want.Var[i]) {
-			t.Errorf("dim %d: served (%v, %v) != direct (%v, %v)",
-				i, got.Mean[i], got.Var[i], want.Mean[i], want.Var[i])
+	same := func(a, b core.GaussianVec) bool {
+		for i := range a.Mean {
+			if math.Float64bits(a.Mean[i]) != math.Float64bits(b.Mean[i]) ||
+				math.Float64bits(a.Var[i]) != math.Float64bits(b.Var[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	plain := serve("")
+	if !same(plain, want) {
+		t.Errorf("served %+v, direct %+v", plain, want)
+	}
+	for _, extra := range []string{`"activation_moments": "pwl", `, `"quantized": true, `} {
+		if got := serve(extra); !same(got, plain) {
+			t.Errorf("manifest with %s served %+v, without it %+v", extra, got, plain)
 		}
 	}
 }

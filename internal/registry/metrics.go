@@ -13,7 +13,6 @@ import (
 //	apds_registry_requests_total{model,route}     served requests by route (current|canary)
 //	apds_registry_swaps_total{model}              route-table swaps applied
 //	apds_registry_reloads_total{result}           manifest reload attempts (ok|error|unchanged)
-//	apds_registry_quantized_total{result}         load-time quantized builds (ok|cache_hit|fallback)
 //	apds_registry_versions{model}                 registered (routable or draining) versions
 //	apds_registry_shadow_total{model}             shadow comparisons completed
 //	apds_registry_shadow_dropped_total{model}     shadow duplicates dropped (pool saturated)
@@ -23,7 +22,6 @@ type Metrics struct {
 	requests      *obs.CounterVec
 	swaps         *obs.CounterVec
 	reloads       *obs.CounterVec
-	quantized     *obs.CounterVec
 	versions      *obs.GaugeVec
 	shadow        *obs.CounterVec
 	shadowDropped *obs.CounterVec
@@ -44,8 +42,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Route-table swaps applied per model.", "model"),
 		reloads: reg.CounterVec("apds_registry_reloads_total",
 			"Manifest reload attempts by outcome.", "result"),
-		quantized: reg.CounterVec("apds_registry_quantized_total",
-			"Load-time quantized-program builds by outcome (ok, cache_hit, fallback to float).", "result"),
 		versions: reg.GaugeVec("apds_registry_versions",
 			"Versions currently registered per model (routable or draining).", "model"),
 		shadow: reg.CounterVec("apds_registry_shadow_total",
@@ -94,21 +90,6 @@ func (m *Metrics) reloaded(result string) {
 	if m != nil {
 		m.reloads.With(result).Inc()
 	}
-}
-
-func (m *Metrics) quantizedBuild(result string) {
-	if m != nil {
-		m.quantized.With(result).Inc()
-	}
-}
-
-// QuantizedBuilds returns the quantized-build count for one outcome label
-// (for tests).
-func (m *Metrics) QuantizedBuilds(result string) float64 {
-	if m == nil {
-		return 0
-	}
-	return m.quantized.With(result).Value()
 }
 
 func (m *Metrics) setVersions(model string, n int) {

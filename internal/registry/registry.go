@@ -84,19 +84,6 @@ type Config struct {
 	// SkipWarmup disables the warmup inference run before a version becomes
 	// routable. Tests use it to register deliberately slow estimators.
 	SkipWarmup bool
-	// EnableQuantized turns on the int8 fixed-point serving path for every
-	// version built from a network: the weights are quantized at load time
-	// (internal/qprop) and the quantized program — built or fetched from the
-	// fingerprint-keyed cache — takes dispatch priority over the float
-	// engine. Quantization is opt-in because it is an approximation, not a
-	// bit-identical specialization: its accuracy contract is the oracle's
-	// quantization error budget, not Float64bits equality with the float
-	// path. A version whose weights the fixed-point scheme rejects falls
-	// back to float serving (counted as
-	// apds_registry_quantized_total{result="fallback"}); quantization never
-	// fails a load. Per-model opt-in is available through SetQuantized or
-	// the manifest's "quantized" flag.
-	EnableQuantized bool
 	// ShadowBuffer bounds pending shadow comparisons; beyond it duplicates
 	// are dropped (and counted) rather than ever blocking the primary path.
 	// Defaults to 256.
@@ -149,9 +136,6 @@ func hashFraction(key string) float64 { return hashkey.Fraction(key) }
 type model struct {
 	name   string
 	obsVar float64
-	// quantized opts versions of this model into the fixed-point serving
-	// path (applies to versions added from when it is set, like obsVar).
-	quantized bool
 
 	mu       sync.Mutex
 	versions map[string]*Version
@@ -175,10 +159,6 @@ type Registry struct {
 	models map[string]*model
 	closed bool
 
-	// quants shares load-time quantized programs across versions with
-	// identical networks (see quantcache.go).
-	quants *quantCache
-
 	shadowJobs chan shadowJob
 	shadowWG   sync.WaitGroup
 	// drains counts versions registered but not yet fully drained; Close
@@ -197,7 +177,6 @@ func New(cfg Config) *Registry {
 	r := &Registry{
 		cfg:        cfg,
 		models:     make(map[string]*model),
-		quants:     newQuantCache(),
 		shadowJobs: make(chan shadowJob, cfg.ShadowBuffer),
 	}
 	for i := 0; i < cfg.ShadowWorkers; i++ {
@@ -278,12 +257,11 @@ func (r *Registry) addVersion(modelName, id string, net *nn.Network, est core.Es
 		return old, nil
 	}
 	obsVar := m.obsVar
-	quantized := m.quantized || r.cfg.EnableQuantized
 	m.mu.Unlock()
 
 	// Build and warm outside the model lock: loading big models must not
 	// stall the serving path's mutations.
-	v, err := r.buildVersion(id, net, obsVar, quantized, est)
+	v, err := r.buildVersion(id, net, obsVar, est)
 	if err != nil {
 		return nil, err
 	}
@@ -338,43 +316,15 @@ func (r *Registry) SetObsVar(modelName string, obsVar float64) error {
 	return err
 }
 
-// SetQuantized opts versions of the named model added from now on into (or
-// out of) the fixed-point serving path, independent of the registry-wide
-// Config.EnableQuantized default. Existing versions keep the path they were
-// built with; re-adding a version under the same ID rebuilds it on the new
-// setting only if its fingerprint changed.
-func (r *Registry) SetQuantized(modelName string, enabled bool) error {
-	m, err := r.ensureModelKeepObsVar(modelName)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.quantized = enabled
-	m.mu.Unlock()
-	return nil
-}
-
-// buildVersion assembles estimator + pool, installs the quantized program
-// when asked, and runs the warmup inference. Everything here happens before
-// registration — off the serving path — so a hot reload quantizes and warms
-// while the displaced version keeps serving.
-func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quantized bool, est core.Estimator) (*Version, error) {
+// buildVersion assembles estimator + pool and runs the warmup inference.
+// Everything here happens before registration — off the serving path — so a
+// hot reload warms while the displaced version keeps serving.
+func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, est core.Estimator) (*Version, error) {
 	var ap *core.ApDeepSense
-	var releaseQuantized func()
 	if est == nil {
 		var err error
 		if ap, err = core.NewApDeepSense(net, r.cfg.Options, obsVar); err != nil {
 			return nil, fmt.Errorf("registry: version %s: %w", id, err)
-		}
-		if quantized {
-			releaseQuantized, err = r.quantFor(id, ap, net.Fingerprint())
-			if err != nil {
-				// Fall back to float serving: oversized weights that overflow
-				// the fixed-point scheme degrade to the slower path, they
-				// never fail the load.
-				r.cfg.Metrics.quantizedBuild("fallback")
-				releaseQuantized = nil
-			}
 		}
 		est = ap
 	}
@@ -384,19 +334,17 @@ func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quan
 		// primes the propagator's tables before traffic routes here. The
 		// input is ones, not zeros: the blocked kernels skip zero scalars, so
 		// a zero warmup would never touch (and never expose) a poisoned
-		// weight. With a quantized program installed, dispatch routes this
-		// through the fixed-point path, so routability is gated on the
-		// program the version will actually serve on.
+		// weight.
 		ones := make(tensor.Vector, net.InputDim())
 		for i := range ones {
 			ones[i] = 1
 		}
 		g, err := est.Predict(ones)
 		if err != nil {
-			return nil, failBuild(fmt.Errorf("registry: version %s warmup: %w", id, err), releaseQuantized)
+			return nil, fmt.Errorf("registry: version %s warmup: %w", id, err)
 		}
 		if err := g.Validate(); err != nil {
-			return nil, failBuild(fmt.Errorf("registry: version %s warmup output: %w", id, err), releaseQuantized)
+			return nil, fmt.Errorf("registry: version %s warmup output: %w", id, err)
 		}
 	}
 	// Hooks go on only after the build-time work: the warmup is not serving
@@ -407,20 +355,9 @@ func (r *Registry) buildVersion(id string, net *nn.Network, obsVar float64, quan
 	}
 	coal, err := serve.NewPredict(est, r.cfg.Serve)
 	if err != nil {
-		return nil, failBuild(fmt.Errorf("registry: version %s pool: %w", id, err), releaseQuantized)
+		return nil, fmt.Errorf("registry: version %s pool: %w", id, err)
 	}
-	v := newVersion(id, net, est, coal)
-	v.releaseQuantized = releaseQuantized
-	return v, nil
-}
-
-// failBuild releases the program-cache reference a failed build would
-// otherwise leak, then passes the error through.
-func failBuild(err error, release func()) error {
-	if release != nil {
-		release()
-	}
-	return err
+	return newVersion(id, net, est, coal), nil
 }
 
 // retireVersion retires v and updates the drain accounting.
@@ -694,8 +631,6 @@ type VersionStatus struct {
 	Fingerprint string `json:"fingerprint"`
 	QueueDepth  int    `json:"queue_depth"`
 	Draining    bool   `json:"draining"`
-	// Quantized reports whether the version serves on the fixed-point path.
-	Quantized bool `json:"quantized,omitempty"`
 }
 
 // ModelStatus describes one model's routing state in listings.
@@ -765,7 +700,6 @@ func (m *model) status() ModelStatus {
 			Fingerprint: v.Fingerprint,
 			QueueDepth:  v.coal.Depth(),
 			Draining:    v.retired.Load(),
-			Quantized:   v.Quantized(),
 		})
 	}
 	return st

@@ -48,13 +48,6 @@ type Version struct {
 	// before closing the coalescer.
 	idle     chan struct{}
 	idleOnce sync.Once
-
-	// releaseQuantized, when non-nil, drops this version's reference on the
-	// registry's quantized-program cache. Called exactly once, at retire: the
-	// cache entry may be evicted then, but in-flight requests are unaffected —
-	// the propagator itself keeps its installed program reachable for as long
-	// as anything can run on it.
-	releaseQuantized func()
 }
 
 func newVersion(id string, net *nn.Network, est core.Estimator, coal *serve.PredictCoalescer) *Version {
@@ -80,13 +73,6 @@ func (v *Version) Estimator() core.Estimator { return v.est }
 
 // QueueDepth reports how many requests wait in this version's pool.
 func (v *Version) QueueDepth() int { return v.coal.Depth() }
-
-// Quantized reports whether this version serves on the fixed-point path
-// (a quantized program is installed on its propagator).
-func (v *Version) Quantized() bool {
-	ap, ok := v.est.(*core.ApDeepSense)
-	return ok && ap.Propagator().Quantized() != nil
-}
 
 // tryAcquire takes a request reference. It fails when the version has been
 // retired or its last reference already dropped; the caller must then re-read
@@ -119,9 +105,6 @@ func (v *Version) release() {
 func (v *Version) retire(onDrained func()) {
 	if !v.retired.CompareAndSwap(false, true) {
 		return
-	}
-	if v.releaseQuantized != nil {
-		v.releaseQuantized()
 	}
 	go func() {
 		<-v.idle

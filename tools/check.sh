@@ -5,17 +5,16 @@
 # path (the metrics registry, hooks, the request coalescer, and stream gating
 # are explicitly concurrent), run the oracle-backed differential harness, give
 # each fuzz target a short smoke budget (seed corpora always replay; the extra
-# seconds of mutation catch shallow regressions), then record the batched
-# propagation benchmark with its metrics snapshot (results/BENCH_batch.json +
-# results/BENCH_obs.prom) and smoke runs of the serving and registry
-# benchmarks, and finally run the quantized-propagator
-# and sequence-path (conv/RNN/GRU + dense exact-backend) benchmarks, a
-# 2-replica cluster smoke, and a 20k session-fleet smoke and diff each
-# against its committed trajectory with tools/benchdiff. The smoke bench runs write to a scratch directory so short
-# cells never clobber the committed results/BENCH_serve.json /
-# BENCH_registry.json / BENCH_cluster.json / BENCH_seq.json (regenerate those
-# with `make bench-serve` / `make bench-registry` /
-# `make bench-quant` / `make bench-cluster` / `make bench-seq`).
+# seconds of mutation catch shallow regressions), then smoke the batched
+# propagation benchmark with its metrics snapshot and the serving and
+# registry benchmarks, and finally run the sequence-path (conv/RNN/GRU +
+# dense exact-backend) benchmark, a 2-replica cluster smoke, and a 20k
+# session-fleet smoke and diff each against its committed trajectory with
+# tools/benchdiff. Every bench run writes to a scratch directory, so the
+# gate never rewrites a committed file under results/ (regenerate those
+# with `go run ./cmd/apds-bench -batch -obs -results results` /
+# `make bench-serve` / `make bench-registry` / `make bench-cluster` /
+# `make bench-seq` / `make bench-sessions`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,7 +30,7 @@ go -C perfbench vet ./...
 go -C perfbench test ./...
 
 echo "== go test -race (numeric hot paths)"
-go test -race ./internal/core/... ./internal/tensor/... ./internal/compile/... ./internal/qprop/... ./internal/quantize/...
+go test -race ./internal/core/... ./internal/tensor/... ./internal/compile/... ./internal/quantize/...
 
 echo "== go test -race (observability + serving path)"
 go test -race ./internal/obs/... ./internal/stream/... ./internal/serve/... ./examples/server/...
@@ -58,35 +57,27 @@ echo "== fuzz smoke (10s per target)"
 go test -run NONE -fuzz 'FuzzPropagateVsOracle' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzBatchVsSequential' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzCompiledVsInterpreted' -fuzztime 10s ./internal/proptest
-go test -run NONE -fuzz 'FuzzQuantizedVsFloat' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzExactVsOracle' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 10s ./internal/core
-go test -run NONE -fuzz 'FuzzQMadd' -fuzztime 10s ./internal/tensor
 go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 10s ./internal/nn
 
-echo "== apds-bench -batch -obs"
-go run ./cmd/apds-bench -batch -obs -results results
-
-echo "== apds-bench -serve (smoke)"
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
+
+echo "== apds-bench -batch -obs (smoke)"
+go run ./cmd/apds-bench -batch -obs -results "$smokedir"
+
+echo "== apds-bench -serve (smoke)"
 go run ./cmd/apds-bench -serve -serve-duration 200ms -results "$smokedir"
 
 echo "== apds-bench -registry (smoke)"
 go run ./cmd/apds-bench -registry -registry-duration 200ms -results "$smokedir"
 
-echo "== apds-bench -quant + benchdiff vs committed trajectory"
-go run ./cmd/apds-bench -quant -results "$smokedir"
-# Loose tolerance: the committed numbers come from another box; this gate
-# catches the fixed-point path silently losing its integer kernels (scalar
-# fallback) or its size advantage, not machine noise.
-go run ./tools/benchdiff -base results/BENCH_quant.json -fresh "$smokedir/BENCH_quant.json" -tol 0.6
-
 echo "== apds-bench -cluster (2-replica smoke) + benchdiff vs committed trajectory"
 go run ./cmd/apds-bench -cluster -cluster-replicas 2 -cluster-duration 300ms -results "$smokedir"
 # The committed file carries the full 4-replica sweep; the smoke's 2-replica
-# prefix pairs with it by scenario index. Loose tolerance again: the gate is
+# prefix pairs with it by scenario index. Loose tolerance: the gate is
 # for the router losing its scaling (speedup) or its latency profile, not for
 # box-to-box qps differences.
 go run ./tools/benchdiff -base results/BENCH_cluster.json -fresh "$smokedir/BENCH_cluster.json" -tol 0.6
