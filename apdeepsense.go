@@ -393,10 +393,15 @@ type (
 	// ConvEstimator predicts mean and variance for fixed-length
 	// time-series inputs through a ConvNet's moment propagation.
 	ConvEstimator = conv.Estimator
-	// RNNEstimator predicts through an Elman cell's step-wise moments.
+	// RNNEstimator predicts through the step-wise moments of an Elman cell
+	// (NewRNNEstimator) or a GRU (NewGRUEstimator). One type serves both:
+	// it implements BatchPredictor, stepping a whole batch through one
+	// gate-stack matmul per step, and is safe for concurrent use.
 	RNNEstimator = rnn.Estimator
-	// GRUEstimator predicts through a GRU's step-wise moments.
-	GRUEstimator = rnn.GRUEstimator
+	// GRUEstimator is the same type as RNNEstimator.
+	//
+	// Deprecated: NewGRUEstimator returns an *RNNEstimator; use that name.
+	GRUEstimator = rnn.Estimator
 )
 
 // Sequence estimator constructors.
@@ -405,7 +410,8 @@ var (
 	NewConvEstimator = conv.NewEstimator
 	// NewRNNEstimator wraps an Elman cell for steps-long inputs.
 	NewRNNEstimator = rnn.NewEstimator
-	// NewGRUEstimator wraps a GRU for steps-long inputs.
+	// NewGRUEstimator wraps a GRU for steps-long inputs; it returns an
+	// *RNNEstimator.
 	NewGRUEstimator = rnn.NewGRUEstimator
 )
 

@@ -50,7 +50,7 @@ func run(args []string) error {
 	serveBench := fs.Bool("serve", false, "benchmark coalesced vs per-request serving under closed-loop load (writes BENCH_serve.json)")
 	serveCell := fs.Duration("serve-duration", 2*time.Second, "with -serve: measured wall time per (concurrency, mode) cell")
 	registryBench := fs.Bool("registry", false, "benchmark registry serving under continuous hot-swap/reload/shadow (writes BENCH_registry.json)")
-	seqBench := fs.Bool("seq", false, "benchmark the conv/RNN/GRU sequence moment paths and the exact activation backend on dense rectifier nets (writes BENCH_seq.json)")
+	seqBench := fs.Bool("seq", false, "benchmark the conv/RNN/GRU/LSTM sequence moment paths and the exact activation backend on dense rectifier nets (writes BENCH_seq.json)")
 	clusterBench := fs.Bool("cluster", false, "benchmark the sharded multi-replica serving tier under open-loop load (writes BENCH_cluster.json)")
 	sessionsBench := fs.Bool("sessions", false, "benchmark the resident session fleet: create/ingest/window throughput, snapshot/restore, idle churn (writes BENCH_stream.json)")
 	sessionCount := fs.Int("session-count", 1_000_000, "with -sessions: resident sessions to hold")

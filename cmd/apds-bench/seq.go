@@ -25,7 +25,7 @@ type seqDenseEntry struct {
 	ExactNsPerSample float64 `json:"exact_ns_per_sample"`
 }
 
-// seqPathEntry is one sequence-workload row: the conv, Elman, and GRU
+// seqPathEntry is one sequence-workload row: the conv, Elman, GRU and LSTM
 // moment-propagation fast paths on representative IoT-scale models.
 type seqPathEntry struct {
 	Path           string  `json:"path"`
@@ -47,7 +47,7 @@ type seqBenchReport struct {
 }
 
 // emitSeqBench measures (a) the exact activation backend on dense rectifier
-// reference nets and (b) the conv/RNN/GRU sequence moment-propagation
+// reference nets and (b) the conv/RNN/GRU/LSTM sequence moment-propagation
 // paths. Results print as a table and land in BENCH_seq.json under dir.
 func emitSeqBench(dir string) error {
 	rep := seqBenchReport{
@@ -167,6 +167,26 @@ func emitSeqBench(dir string) error {
 		Path: "gru", Shape: "8-48-4", Steps: rnnSteps,
 		NsPerSample: gruNs, NsPerStep: gruNs / rnnSteps, SamplesPerSec: 1e9 / gruNs,
 		DenseFLOPs: gruCost.Cost().DenseFLOPs, ElementOps: gruCost.Cost().ElementOps,
+		MomentsBackend: "pwl",
+	})
+
+	// --- LSTM path. ---
+	lstm, err := rnn.NewLSTM(8, 48, 4, 0.9, rng)
+	if err != nil {
+		return err
+	}
+	lstmNs := timePerBatch(func() error {
+		_, err := lstm.PropagateMoments(xs)
+		return err
+	})
+	lstmCost, err := lstm.Cost(rnnSteps)
+	if err != nil {
+		return err
+	}
+	rep.Paths = append(rep.Paths, seqPathEntry{
+		Path: "lstm", Shape: "8-48-4", Steps: rnnSteps,
+		NsPerSample: lstmNs, NsPerStep: lstmNs / rnnSteps, SamplesPerSec: 1e9 / lstmNs,
+		DenseFLOPs: lstmCost.DenseFLOPs, ElementOps: lstmCost.ElementOps,
 		MomentsBackend: "pwl",
 	})
 

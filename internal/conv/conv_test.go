@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/piecewise"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
@@ -144,7 +145,7 @@ func TestConvMomentsVsMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := activationFunc(act)
+		f, _, err := core.KernelFor(act, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

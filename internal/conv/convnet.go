@@ -7,7 +7,6 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
-	"github.com/apdeepsense/apdeepsense/internal/piecewise"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -20,11 +19,10 @@ type Net struct {
 	convs []*Conv1D
 	head  *nn.Network
 
-	// acts/kernels cache each conv layer's PWL activation and its
-	// activation-moment kernel, resolved once through core.KernelFor so
-	// the conv stack obeys the same backend dispatch (exact rectifier
-	// closed form, PWL otherwise) as the dense propagator.
-	acts    []*piecewise.Func
+	// kernels caches each conv layer's activation-moment kernel, resolved
+	// once through core.KernelFor so the conv stack obeys the same backend
+	// dispatch (exact rectifier closed form, PWL otherwise) as the dense
+	// propagator.
 	kernels []*core.ActKernel
 	prop    *core.Propagator
 }
@@ -53,15 +51,13 @@ func NewNet(convs []*Conv1D, head *nn.Network) (*Net, error) {
 	n := &Net{
 		convs:   convs,
 		head:    head,
-		acts:    make([]*piecewise.Func, len(convs)),
 		kernels: make([]*core.ActKernel, len(convs)),
 	}
 	for i, c := range convs {
-		f, k, err := core.KernelFor(c.Act, core.Options{})
+		_, k, err := core.KernelFor(c.Act, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("conv layer %d: %w", i, err)
 		}
-		n.acts[i] = f
 		n.kernels[i] = k
 	}
 	prop, err := core.NewPropagator(head, core.Options{})
@@ -162,17 +158,7 @@ func (n *Net) Cost(steps int) (edison.Cost, error) {
 		c.DenseFLOPs += 2 * 2 * window * elems
 		// Dropout moment algebra per channel partial sum plus bias add.
 		c.ElementOps += 5*int64(l.InCh)*elems + elems
-		if n.kernels[i].Exact() {
-			c.ElementOps += elems * core.OpsPerExactMoments
-		} else {
-			for _, piece := range n.acts[i].Pieces() {
-				if piece.K == 0 {
-					c.ElementOps += elems * core.OpsPerConstPiece
-				} else {
-					c.ElementOps += elems * core.OpsPerLinearPiece
-				}
-			}
-		}
+		c.ElementOps += elems * n.kernels[i].ElementOps()
 		s = outSteps
 	}
 	// Global average pooling: one mean and one variance pass.

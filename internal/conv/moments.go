@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
-	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/piecewise"
 	"github.com/apdeepsense/apdeepsense/internal/stats"
 )
@@ -132,23 +131,4 @@ func GlobalAvgPool(s *Seq) []float64 {
 		out[c] = m / n
 	}
 	return out
-}
-
-// activationFunc resolves a layer's activation to its PWL representation,
-// with the paper's default piece counts.
-func activationFunc(act nn.Activation) (*piecewise.Func, error) {
-	switch act {
-	case nn.ActIdentity:
-		return piecewise.Identity(), nil
-	case nn.ActReLU:
-		return piecewise.ReLU(), nil
-	case nn.ActLeakyReLU:
-		return piecewise.LeakyReLU(nn.LeakyAlpha), nil
-	case nn.ActTanh:
-		return piecewise.Tanh(7)
-	case nn.ActSigmoid:
-		return piecewise.Sigmoid(7)
-	default:
-		return nil, fmt.Errorf("activation %v: %w", act, ErrConfig)
-	}
 }

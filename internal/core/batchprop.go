@@ -386,8 +386,23 @@ func NewExactActKernel(f *piecewise.Func) (*ActKernel, error) {
 // rectifier moments rather than the PWL closed form.
 func (ak *ActKernel) Exact() bool { return ak.exact }
 
-// Func returns the kernel's PWL function (shared, treat as read-only).
-func (ak *ActKernel) Func() *piecewise.Func { return ak.f }
+// ElementOps is the modeled op charge of one Moments call (see
+// internal/edison): OpsPerExactMoments for the exact rectifier backend,
+// otherwise the per-piece PWL charges summed over the function's pieces.
+func (ak *ActKernel) ElementOps() int64 {
+	if ak.exact {
+		return OpsPerExactMoments
+	}
+	var ops int64
+	for _, k := range ak.k {
+		if k == 0 {
+			ops += OpsPerConstPiece
+		} else {
+			ops += OpsPerLinearPiece
+		}
+	}
+	return ops
+}
 
 // NumBounds returns the boundary-scratch length Moments requires — callers
 // outside the propagator (the sequence paths) size their own scratch with it.

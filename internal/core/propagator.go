@@ -221,17 +221,7 @@ func (p *Propagator) computeCost() edison.Cost {
 		c.ElementOps += 5*in + out
 		// Activation moment propagation: the exact rectifier closed form per
 		// element, or the PWL assembly per piece per element.
-		if p.kernels[i].Exact() {
-			c.ElementOps += out * OpsPerExactMoments
-		} else {
-			for _, piece := range p.acts[i].Pieces() {
-				if piece.K == 0 {
-					c.ElementOps += out * OpsPerConstPiece
-				} else {
-					c.ElementOps += out * OpsPerLinearPiece
-				}
-			}
-		}
+		c.ElementOps += out * p.kernels[i].ElementOps()
 	}
 	return c
 }

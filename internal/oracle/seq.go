@@ -315,8 +315,9 @@ func (r *RNNRef) ForwardCond(xs []tensor.Vector) (core.GaussianVec, CondBudget, 
 			dMu, dVar = p*r.a1h*dMu, r.a2h*(p*dVar+p*(1-p)*dMu*(2*maxAbsMu+dMu))
 		}
 
-		// Textual mirror of CellProp.Step (naive ascending matmuls match
-		// tensor.MulVecInto's accumulation order bit-for-bit).
+		// Textual mirror of the rnn engine's Elman step (naive ascending
+		// matmuls match the accumulation order of tensor.MulVecInto and
+		// tensor.DualMulInto bit-for-bit).
 		mulVecNaive(c.Wx, x, xContrib)
 		if p == 1 {
 			copy(muIn, h.Mean)
@@ -492,13 +493,19 @@ func (r *GRURef) ForwardCond(xs []tensor.Vector) (core.GaussianVec, CondBudget, 
 		if len(x) != g.InDim {
 			return core.GaussianVec{}, CondBudget{}, fmt.Errorf("oracle: gru step %d dim %d, want %d: %w", st, len(x), g.InDim, core.ErrInput)
 		}
-		// Masked state moments — textual mirror of GRUProp.StepMoments —
-		// and the error coupling of the dropout moment map.
+		// Masked state moments — textual mirror of the rnn engine's GRU
+		// step, including its exact pass-through at keep == 1 — and the
+		// error coupling of the dropout moment map.
 		maxAbsMu := supAbs(h.Mean)
-		for j := 0; j < n; j++ {
-			mu, v := h.Mean[j], h.Var[j]
-			mMean[j] = p * mu
-			mVar[j] = p*(mu*mu+v) - p*p*mu*mu
+		if p == 1 {
+			copy(mMean, h.Mean)
+			copy(mVar, h.Var)
+		} else {
+			for j := 0; j < n; j++ {
+				mu, v := h.Mean[j], h.Var[j]
+				mMean[j] = p * mu
+				mVar[j] = p*(mu*mu+v) - p*p*mu*mu
+			}
 		}
 		mErr := eb{
 			m: p * hErr.m,

@@ -7,6 +7,7 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/conv"
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/oracle"
+	"github.com/apdeepsense/apdeepsense/internal/rnn"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -127,46 +128,48 @@ func TestGRUVsOracle(t *testing.T) {
 	}
 }
 
-// TestRNNBatchBitIdentical pins the batched recurrent entry points against
-// sequential propagation bit-for-bit across generated cells and GRUs.
+// TestRNNBatchBitIdentical pins the recurrent estimators' batched entry
+// point (the batch stepped together through the shared gate-stack engine)
+// against per-row Predict bit-for-bit across generated cells and GRUs.
 func TestRNNBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	for iter := 0; iter < 30; iter++ {
 		c := GenCell(rng)
-		cellSeqs := make([][]tensor.Vector, 2+rng.Intn(3))
-		for s := range cellSeqs {
-			cellSeqs[s] = GenSeqVectors(rng, 1+rng.Intn(7), c.InDim)
-		}
-		batch, err := c.PropagateMomentsBatch(cellSeqs)
+		cellSteps := 1 + rng.Intn(7)
+		cellEst, err := rnn.NewEstimator(c, cellSteps, 0)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		for s, xs := range cellSeqs {
-			want, err := c.PropagateMoments(xs)
-			if err != nil {
-				t.Fatalf("iter %d: %v", iter, err)
-			}
-			if err := CompareBits(batch[s], want); err != nil {
-				t.Errorf("iter %d cell sample %d: %v", iter, s, err)
-			}
-		}
-
 		g := GenGRU(rng)
-		gruSeqs := make([][]tensor.Vector, 2+rng.Intn(3))
-		for s := range gruSeqs {
-			gruSeqs[s] = GenSeqVectors(rng, 1+rng.Intn(6), g.InDim)
-		}
-		gbatch, err := g.PropagateMomentsBatch(gruSeqs)
+		gruSteps := 1 + rng.Intn(6)
+		gruEst, err := rnn.NewGRUEstimator(g, gruSteps, 0)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		for s, xs := range gruSeqs {
-			want, err := g.PropagateMoments(xs)
+		for _, tc := range []struct {
+			name     string
+			est      *rnn.Estimator
+			steps, d int
+		}{
+			{"cell", cellEst, cellSteps, c.InDim},
+			{"gru", gruEst, gruSteps, g.InDim},
+		} {
+			rows := make([]tensor.Vector, 1+rng.Intn(20))
+			for i := range rows {
+				rows[i] = GenInput(rng, tc.steps*tc.d)
+			}
+			batch, err := tc.est.PredictBatch(rows)
 			if err != nil {
 				t.Fatalf("iter %d: %v", iter, err)
 			}
-			if err := CompareBits(gbatch[s], want); err != nil {
-				t.Errorf("iter %d gru sample %d: %v", iter, s, err)
+			for i, x := range rows {
+				want, err := tc.est.Predict(x)
+				if err != nil {
+					t.Fatalf("iter %d: %v", iter, err)
+				}
+				if err := CompareBits(batch[i], want); err != nil {
+					t.Errorf("iter %d %s row %d: %v", iter, tc.name, i, err)
+				}
 			}
 		}
 	}

@@ -2,26 +2,38 @@ package rnn
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
-// Estimator adapts a Cell to the core.Estimator contract so recurrent
-// models plug into the registry, the serving tier, and the benchmark
-// harness alongside dense ApDeepSense. The flat input vector is interpreted
-// as a fixed-length sequence in step-major layout (x[t*inDim+i]); the step
-// count is fixed at construction because the estimator contract has no
-// shape channel.
+// Estimator adapts a recurrent model (an Elman Cell or a GRU) to the
+// core.Estimator contract so recurrent models plug into the registry, the
+// serving tier, and the benchmark harness alongside dense ApDeepSense. The
+// flat input vector is interpreted as a fixed-length sequence in step-major
+// layout (x[t*inDim+i]); the step count is fixed at construction because
+// the estimator contract has no shape channel.
+//
+// PredictBatch steps the whole batch through the shared moment engine
+// together, one dual-panel product per gate stack per step. Every call owns
+// its scratch, so an Estimator is safe for concurrent use, and each batch
+// row is Float64bits-identical to Predict on that row.
 type Estimator struct {
-	prop   *CellProp
+	p      *prop
+	name   string
 	steps  int
 	obsVar float64
 	cost   edison.Cost
 }
 
-var _ core.Estimator = (*Estimator)(nil)
+var (
+	_ core.Estimator           = (*Estimator)(nil)
+	_ core.BatchPredictor      = (*Estimator)(nil)
+	_ core.BatchProbsPredictor = (*Estimator)(nil)
+)
 
 // NewEstimator wraps cell as an estimator over steps-long sequences. obsVar
 // (>= 0) is the observation-noise variance added to regression predictive
@@ -30,209 +42,123 @@ func NewEstimator(cell *Cell, steps int, obsVar float64) (*Estimator, error) {
 	if cell == nil {
 		return nil, fmt.Errorf("rnn: nil cell: %w", ErrConfig)
 	}
+	return newEstimator("ApDeepSense-RNN", cell.newProp, steps, obsVar)
+}
+
+// NewGRUEstimator wraps g as an estimator over steps-long sequences, with
+// the same input convention and obsVar as NewEstimator.
+func NewGRUEstimator(g *GRU, steps int, obsVar float64) (*Estimator, error) {
+	if g == nil {
+		return nil, fmt.Errorf("rnn: nil gru: %w", ErrConfig)
+	}
+	return newEstimator("ApDeepSense-GRU", g.newProp, steps, obsVar)
+}
+
+func newEstimator(name string, build func() (*prop, error), steps int, obsVar float64) (*Estimator, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("rnn: steps %d: %w", steps, ErrConfig)
 	}
 	if obsVar < 0 {
 		return nil, fmt.Errorf("rnn: negative obsVar %v: %w", obsVar, ErrConfig)
 	}
-	prop, err := cell.NewProp()
+	p, err := build()
 	if err != nil {
 		return nil, err
 	}
-	return &Estimator{prop: prop, steps: steps, obsVar: obsVar, cost: cellCost(cell, steps, prop)}, nil
-}
-
-// cellCost models one PropagateMoments pass: per step, the input and
-// recurrent mean matmuls plus the W² variance matmul, the dropout moment
-// algebra, and the activation moment charge (exact closed form or per-piece
-// PWL, the dense propagator's model); then the linear readout.
-func cellCost(c *Cell, steps int, prop *CellProp) edison.Cost {
-	var cost edison.Cost
-	in, h, out := int64(c.InDim), int64(c.HiddenDim), int64(c.OutDim)
-	perStep := edison.Cost{
-		DenseFLOPs: 2*in*h + 2*2*h*h,
-		ElementOps: 5*h + h,
-	}
-	if prop.ak.Exact() {
-		perStep.ElementOps += h * core.OpsPerExactMoments
-	} else {
-		for _, piece := range prop.ak.Func().Pieces() {
-			if piece.K == 0 {
-				perStep.ElementOps += h * core.OpsPerConstPiece
-			} else {
-				perStep.ElementOps += h * core.OpsPerLinearPiece
-			}
-		}
-	}
-	cost = cost.Add(perStep.Scale(int64(steps)))
-	cost.DenseFLOPs += 2 * 2 * h * out
-	cost.ElementOps += out
-	return cost
+	return &Estimator{p: p, name: name, steps: steps, obsVar: obsVar, cost: p.cost(steps)}, nil
 }
 
 // Steps returns the fixed sequence length the estimator expects.
 func (e *Estimator) Steps() int { return e.steps }
 
-// Cell returns the underlying cell.
-func (e *Estimator) Cell() *Cell { return e.prop.c }
-
 // Name implements core.Estimator.
-func (e *Estimator) Name() string { return "ApDeepSense-RNN" }
+func (e *Estimator) Name() string { return e.name }
 
-func (e *Estimator) seq(x tensor.Vector) ([]tensor.Vector, error) {
-	in := e.prop.c.InDim
-	if len(x) != e.steps*in {
-		return nil, fmt.Errorf("rnn: input length %d != steps %d × dim %d: %w",
-			len(x), e.steps, in, ErrConfig)
-	}
-	xs := make([]tensor.Vector, e.steps)
-	for t := 0; t < e.steps; t++ {
-		xs[t] = tensor.Vector(x[t*in : (t+1)*in])
-	}
-	return xs, nil
-}
-
-func (e *Estimator) propagate(x tensor.Vector) (core.GaussianVec, error) {
-	xs, err := e.seq(x)
-	if err != nil {
-		return core.GaussianVec{}, err
-	}
-	h := core.NewGaussianVec(e.prop.c.HiddenDim)
-	for _, step := range xs {
-		if err := e.prop.Step(h, step); err != nil {
-			return core.GaussianVec{}, err
-		}
-	}
-	return e.prop.Readout(h), nil
-}
+// Cost implements core.Estimator.
+func (e *Estimator) Cost() edison.Cost { return e.cost }
 
 // Predict implements core.Estimator: one closed-form moment pass through
 // the recurrence and readout.
 func (e *Estimator) Predict(x tensor.Vector) (core.GaussianVec, error) {
-	g, err := e.propagate(x)
+	gs, err := e.PredictBatch([]tensor.Vector{x})
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
-	for i := range g.Var {
-		g.Var[i] += e.obsVar
-	}
-	return g, nil
+	return gs[0], nil
 }
 
 // PredictProbs implements core.Estimator: Gaussian logits through the
 // mean-field softmax link, without the observation-noise floor.
 func (e *Estimator) PredictProbs(x tensor.Vector) (tensor.Vector, error) {
-	g, err := e.propagate(x)
+	ps, err := e.PredictProbsBatch([]tensor.Vector{x})
 	if err != nil {
 		return nil, err
 	}
-	return core.MeanFieldSoftmax(g), nil
+	return ps[0], nil
 }
 
-// Cost implements core.Estimator.
-func (e *Estimator) Cost() edison.Cost { return e.cost }
-
-// GRUEstimator adapts a GRU to the core.Estimator contract with the same
-// flat step-major input convention as Estimator.
-type GRUEstimator struct {
-	prop   *GRUProp
-	steps  int
-	obsVar float64
-	cost   edison.Cost
-}
-
-var _ core.Estimator = (*GRUEstimator)(nil)
-
-// NewGRUEstimator wraps g as an estimator over steps-long sequences.
-func NewGRUEstimator(g *GRU, steps int, obsVar float64) (*GRUEstimator, error) {
-	if g == nil {
-		return nil, fmt.Errorf("gru: nil model: %w", ErrConfig)
-	}
-	if steps < 1 {
-		return nil, fmt.Errorf("gru: steps %d: %w", steps, ErrConfig)
-	}
-	if obsVar < 0 {
-		return nil, fmt.Errorf("gru: negative obsVar %v: %w", obsVar, ErrConfig)
-	}
-	prop, err := g.NewProp()
+// PredictBatch implements core.BatchPredictor.
+func (e *Estimator) PredictBatch(inputs []tensor.Vector) ([]core.GaussianVec, error) {
+	gb, err := e.propagate(inputs)
 	if err != nil {
 		return nil, err
 	}
-	return &GRUEstimator{prop: prop, steps: steps, obsVar: obsVar, cost: gruCost(g, steps, prop)}, nil
-}
-
-// gruCost models one GRU moment pass: three input matmuls, three recurrent
-// mean matmuls plus their W² variance twins, two sigmoid and one tanh PWL
-// moment passes, and the product-moment element work; then the readout.
-func gruCost(g *GRU, steps int, prop *GRUProp) edison.Cost {
-	var cost edison.Cost
-	in, h, out := int64(g.InDim), int64(g.HiddenDim), int64(g.OutDim)
-	perStep := edison.Cost{
-		DenseFLOPs: 3*2*in*h + 3*2*2*h*h,
-		// Mask algebra (5), three gate bias adds (3), two products of
-		// Gaussians and the convex combination (~5 each).
-		ElementOps: 5*h + 3*h + 15*h,
-	}
-	for _, ak := range []*core.ActKernel{prop.sig, prop.sig, prop.tanh} {
-		for _, piece := range ak.Func().Pieces() {
-			if piece.K == 0 {
-				perStep.ElementOps += h * core.OpsPerConstPiece
-			} else {
-				perStep.ElementOps += h * core.OpsPerLinearPiece
-			}
+	out := gb.Rows()
+	for _, g := range out {
+		for j := range g.Var {
+			g.Var[j] += e.obsVar
 		}
 	}
-	cost = cost.Add(perStep.Scale(int64(steps)))
-	cost.DenseFLOPs += 2 * 2 * h * out
-	cost.ElementOps += out
-	return cost
+	return out, nil
 }
 
-// Steps returns the fixed sequence length the estimator expects.
-func (e *GRUEstimator) Steps() int { return e.steps }
-
-// GRU returns the underlying model.
-func (e *GRUEstimator) GRU() *GRU { return e.prop.g }
-
-// Name implements core.Estimator.
-func (e *GRUEstimator) Name() string { return "ApDeepSense-GRU" }
-
-func (e *GRUEstimator) propagate(x tensor.Vector) (core.GaussianVec, error) {
-	in := e.prop.g.InDim
-	if len(x) != e.steps*in {
-		return core.GaussianVec{}, fmt.Errorf("gru: input length %d != steps %d × dim %d: %w",
-			len(x), e.steps, in, ErrConfig)
-	}
-	h := core.NewGaussianVec(e.prop.g.HiddenDim)
-	for t := 0; t < e.steps; t++ {
-		if err := e.prop.StepMoments(h, tensor.Vector(x[t*in:(t+1)*in])); err != nil {
-			return core.GaussianVec{}, err
-		}
-	}
-	return e.prop.ReadoutMoments(h), nil
-}
-
-// Predict implements core.Estimator.
-func (e *GRUEstimator) Predict(x tensor.Vector) (core.GaussianVec, error) {
-	g, err := e.propagate(x)
-	if err != nil {
-		return core.GaussianVec{}, err
-	}
-	for i := range g.Var {
-		g.Var[i] += e.obsVar
-	}
-	return g, nil
-}
-
-// PredictProbs implements core.Estimator.
-func (e *GRUEstimator) PredictProbs(x tensor.Vector) (tensor.Vector, error) {
-	g, err := e.propagate(x)
+// PredictProbsBatch implements core.BatchProbsPredictor.
+func (e *Estimator) PredictProbsBatch(inputs []tensor.Vector) ([]tensor.Vector, error) {
+	gb, err := e.propagate(inputs)
 	if err != nil {
 		return nil, err
 	}
-	return core.MeanFieldSoftmax(g), nil
+	out := make([]tensor.Vector, len(inputs))
+	for i := range out {
+		out[i] = core.MeanFieldSoftmax(gb.Row(i))
+	}
+	return out, nil
 }
 
-// Cost implements core.Estimator.
-func (e *GRUEstimator) Cost() edison.Cost { return e.cost }
+// propagate validates the inputs and steps them through the engine. Like
+// core's batched engine it fans chunks of at least core.MinRowsPerWorker
+// rows out over up to GOMAXPROCS goroutines; rows are independent, so
+// every split gives the same bits.
+func (e *Estimator) propagate(inputs []tensor.Vector) (core.GaussianBatch, error) {
+	p, rows := e.p, len(inputs)
+	width := e.steps * p.in
+	x := make([]float64, rows*width)
+	for b, in := range inputs {
+		if len(in) != width {
+			return core.GaussianBatch{}, fmt.Errorf("rnn: input %d length %d != steps %d × dim %d: %w",
+				b, len(in), e.steps, p.in, ErrConfig)
+		}
+		copy(x[b*width:], in)
+	}
+	out := core.NewGaussianBatch(rows, p.out)
+	run := func(lo, hi int) {
+		p.run(x[lo*width:hi*width], hi-lo, e.steps,
+			out.Mean.Data[lo*p.out:hi*p.out], out.Var.Data[lo*p.out:hi*p.out])
+	}
+	workers := min(runtime.GOMAXPROCS(0), (rows+core.MinRowsPerWorker-1)/core.MinRowsPerWorker)
+	if workers <= 1 {
+		run(0, rows)
+		return out, nil
+	}
+	chunk := (rows + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < rows; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			run(lo, hi)
+		}(lo, min(lo+chunk, rows))
+	}
+	wg.Wait()
+	return out, nil
+}

@@ -6,8 +6,6 @@ import (
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
-	"github.com/apdeepsense/apdeepsense/internal/piecewise"
-	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -66,18 +64,6 @@ func NewGRU(inDim, hiddenDim, outDim int, keepProb float64, rng *rand.Rand) (*GR
 	return g, nil
 }
 
-func (g *GRU) checkSeq(xs []tensor.Vector) error {
-	if len(xs) == 0 {
-		return fmt.Errorf("gru: empty sequence: %w", ErrConfig)
-	}
-	for t, x := range xs {
-		if len(x) != g.InDim {
-			return fmt.Errorf("gru: step %d has dim %d, want %d: %w", t, len(x), g.InDim, ErrConfig)
-		}
-	}
-	return nil
-}
-
 // gruStep computes one step given the (already masked) recurrent input.
 // It returns r, u, c, h for reuse by training.
 func (g *GRU) gruStep(x, h, masked tensor.Vector) (r, u, c, hNext tensor.Vector) {
@@ -114,7 +100,7 @@ func (g *GRU) gruStep(x, h, masked tensor.Vector) (r, u, c, hNext tensor.Vector)
 
 // Forward runs the weight-scaled deterministic pass.
 func (g *GRU) Forward(xs []tensor.Vector) (tensor.Vector, error) {
-	if err := g.checkSeq(xs); err != nil {
+	if err := checkSeq(xs, g.InDim); err != nil {
 		return nil, err
 	}
 	h := make(tensor.Vector, g.HiddenDim)
@@ -125,12 +111,12 @@ func (g *GRU) Forward(xs []tensor.Vector) (tensor.Vector, error) {
 		}
 		_, _, _, h = g.gruStep(x, h, masked)
 	}
-	return g.readout(h), nil
+	return readout(g.Wo, g.Bo, h), nil
 }
 
 // ForwardSample runs one stochastic pass with a single per-sequence mask.
 func (g *GRU) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
-	if err := g.checkSeq(xs); err != nil {
+	if err := checkSeq(xs, g.InDim); err != nil {
 		return nil, err
 	}
 	mask := make([]float64, g.HiddenDim)
@@ -147,195 +133,23 @@ func (g *GRU) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, 
 		}
 		_, _, _, h = g.gruStep(x, h, masked)
 	}
-	return g.readout(h), nil
+	return readout(g.Wo, g.Bo, h), nil
 }
 
-func (g *GRU) readout(h tensor.Vector) tensor.Vector {
-	out := make(tensor.Vector, g.OutDim)
-	g.Wo.MulVecInto(h, out)
-	for j := range out {
-		out[j] += g.Bo[j]
-	}
-	return out
+func (g *GRU) newProp() (*prop, error) {
+	return newProp(kindGRU, g.KeepProb, g.Wo, g.Bo,
+		[]gate{{g.Wxr, g.Whr, g.Br, nn.ActSigmoid}, {g.Wxu, g.Whu, g.Bu, nn.ActSigmoid}},
+		[]gate{{g.Wxc, g.Whc, g.Bc, nn.ActTanh}})
 }
 
-// productMoments returns the mean and variance of the product of two
-// independent Gaussians.
-func productMoments(mu1, v1, mu2, v2 float64) (float64, float64) {
-	mean := mu1 * mu2
-	variance := mu1*mu1*v2 + mu2*mu2*v1 + v1*v2
-	return mean, variance
-}
-
-// GRUProp is a prepared moment propagator for one GRU: the squared weight
-// matrices, the gate activation kernels (sigmoid/tanh PWL forms — the GRU
-// has no rectifier gates, so the exact backend never applies here), and
-// reusable scratch. Build once per trained GRU with GRU.NewProp; StepMoments
-// and ReadoutMoments are the first-class step-level API the differential
-// harness exercises.
-//
-// A GRUProp snapshots W² at construction; rebuild it after mutating the
-// GRU's weights.
-type GRUProp struct {
-	g                      *GRU
-	sig, tanh              *core.ActKernel
-	whrSq, whuSq, whcSq    *tensor.Matrix
-	woSq                   *tensor.Matrix
-	mMean, mVar            tensor.Vector
-	xr, xu, xc, preM, preV tensor.Vector
-	rmM, rmV               tensor.Vector
-	rM, rV, uM, uV, cM, cV tensor.Vector
-	bounds                 []stats.Boundary
-	pms                    []stats.PartialMoments
-}
-
-// NewProp prepares moment propagation for the GRU's current weights.
-func (g *GRU) NewProp() (*GRUProp, error) {
-	sigF, err := piecewise.Sigmoid(7)
-	if err != nil {
-		return nil, err
-	}
-	tanhF, err := piecewise.Tanh(7)
-	if err != nil {
-		return nil, err
-	}
-	sig := core.NewActKernel(sigF)
-	tanh := core.NewActKernel(tanhF)
-	n := g.HiddenDim
-	nb := sig.NumBounds()
-	if t := tanh.NumBounds(); t > nb {
-		nb = t
-	}
-	mk := func() tensor.Vector { return make(tensor.Vector, n) }
-	return &GRUProp{
-		g: g, sig: sig, tanh: tanh,
-		whrSq: g.Whr.Square(), whuSq: g.Whu.Square(), whcSq: g.Whc.Square(),
-		woSq:  g.Wo.Square(),
-		mMean: mk(), mVar: mk(),
-		xr: mk(), xu: mk(), xc: mk(), preM: mk(), preV: mk(),
-		rmM: mk(), rmV: mk(),
-		rM: mk(), rV: mk(), uM: mk(), uV: mk(), cM: mk(), cV: mk(),
-		bounds: make([]stats.Boundary, nb),
-		pms:    make([]stats.PartialMoments, nb),
-	}, nil
-}
-
-func (p *GRUProp) gate(x, hM, hV tensor.Vector, w, wSq *tensor.Matrix, b tensor.Vector, ak *core.ActKernel, outM, outV tensor.Vector) {
-	n := p.g.HiddenDim
-	w.MulVecInto(hM, p.preM)
-	wSq.MulVecInto(hV, p.preV)
-	for j := 0; j < n; j++ {
-		m := x[j] + p.preM[j] + b[j]
-		v := p.preV[j]
-		if v < 0 {
-			v = 0
-		}
-		outM[j], outV[j] = ak.Moments(m, v, p.bounds, p.pms)
-	}
-}
-
-// StepMoments advances the hidden-state moments one timestep in place:
-// dense moments for every gate pre-activation, sigmoid/tanh moments for the
-// gate outputs, product-of-Gaussians moments for the gating
-// multiplications, and independence across the convex combination.
-func (p *GRUProp) StepMoments(h core.GaussianVec, x tensor.Vector) error {
-	g := p.g
-	if len(x) != g.InDim {
-		return fmt.Errorf("gru: step input dim %d, want %d: %w", len(x), g.InDim, ErrConfig)
-	}
-	if h.Dim() != g.HiddenDim {
-		return fmt.Errorf("gru: state dim %d, want %d: %w", h.Dim(), g.HiddenDim, ErrConfig)
-	}
-	n := g.HiddenDim
-	kp := g.KeepProb
-	// Masked recurrent state moments (dropout on h).
-	for j := 0; j < n; j++ {
-		mu, v := h.Mean[j], h.Var[j]
-		p.mMean[j] = kp * mu
-		p.mVar[j] = kp*(mu*mu+v) - kp*kp*mu*mu
-	}
-	g.Wxr.MulVecInto(x, p.xr)
-	g.Wxu.MulVecInto(x, p.xu)
-	g.Wxc.MulVecInto(x, p.xc)
-
-	p.gate(p.xr, p.mMean, p.mVar, g.Whr, p.whrSq, g.Br, p.sig, p.rM, p.rV)
-	p.gate(p.xu, p.mMean, p.mVar, g.Whu, p.whuSq, g.Bu, p.sig, p.uM, p.uV)
-
-	// r ⊙ ĥ product moments.
-	for j := 0; j < n; j++ {
-		p.rmM[j], p.rmV[j] = productMoments(p.rM[j], p.rV[j], p.mMean[j], p.mVar[j])
-	}
-	g.Whc.MulVecInto(p.rmM, p.preM)
-	p.whcSq.MulVecInto(p.rmV, p.preV)
-	for j := 0; j < n; j++ {
-		m := p.xc[j] + p.preM[j] + g.Bc[j]
-		v := p.preV[j]
-		if v < 0 {
-			v = 0
-		}
-		p.cM[j], p.cV[j] = p.tanh.Moments(m, v, p.bounds, p.pms)
-	}
-
-	// h ← u⊙h + (1−u)⊙c under the independence approximation.
-	for j := 0; j < n; j++ {
-		uhM, uhV := productMoments(p.uM[j], p.uV[j], h.Mean[j], h.Var[j])
-		ucM, ucV := productMoments(1-p.uM[j], p.uV[j], p.cM[j], p.cV[j])
-		h.Mean[j] = uhM + ucM
-		h.Var[j] = uhV + ucV
-	}
-	return nil
-}
-
-// ReadoutMoments maps final-state moments through the linear readout.
-func (p *GRUProp) ReadoutMoments(h core.GaussianVec) core.GaussianVec {
-	g := p.g
-	out := core.NewGaussianVec(g.OutDim)
-	g.Wo.MulVecInto(h.Mean, out.Mean)
-	p.woSq.MulVecInto(h.Var, out.Var)
-	for j := range out.Mean {
-		out.Mean[j] += g.Bo[j]
-	}
-	return out
-}
-
-// PropagateMoments runs the closed-form GRU moment pass (StepMoments per
-// timestep, then ReadoutMoments). One deterministic pass.
+// PropagateMoments runs the closed-form GRU moment pass: dense moments for
+// every gate pre-activation, sigmoid/tanh moments for the gate outputs,
+// product-of-Gaussians moments for the gating multiplications, and
+// independence across the convex combination; then the linear readout.
 func (g *GRU) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
-	if err := g.checkSeq(xs); err != nil {
-		return core.GaussianVec{}, err
-	}
-	prop, err := g.NewProp()
+	p, err := g.newProp()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
-	h := core.NewGaussianVec(g.HiddenDim)
-	for _, x := range xs {
-		if err := prop.StepMoments(h, x); err != nil {
-			return core.GaussianVec{}, err
-		}
-	}
-	return prop.ReadoutMoments(h), nil
-}
-
-// PropagateMomentsBatch runs PropagateMoments over a batch of sequences
-// with one shared GRUProp; bit-identical to sequential calls.
-func (g *GRU) PropagateMomentsBatch(seqs [][]tensor.Vector) ([]core.GaussianVec, error) {
-	prop, err := g.NewProp()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.GaussianVec, len(seqs))
-	for s, xs := range seqs {
-		if err := g.checkSeq(xs); err != nil {
-			return nil, fmt.Errorf("gru: sequence %d: %w", s, err)
-		}
-		h := core.NewGaussianVec(g.HiddenDim)
-		for _, x := range xs {
-			if err := prop.StepMoments(h, x); err != nil {
-				return nil, fmt.Errorf("gru: sequence %d: %w", s, err)
-			}
-		}
-		out[s] = prop.ReadoutMoments(h)
-	}
-	return out, nil
+	return p.propagate(xs)
 }

@@ -56,7 +56,7 @@ func TrainGRU(g *GRU, data []Sample, cfg TrainConfig) error {
 		return err
 	}
 	for i, s := range data {
-		if err := g.checkSeq(s.Xs); err != nil {
+		if err := checkSeq(s.Xs, g.InDim); err != nil {
 			return fmt.Errorf("sample %d: %w", i, err)
 		}
 		if len(s.Y) == 0 {
@@ -157,7 +157,7 @@ func (g *GRU) bptt(s Sample, loss train.Loss, lossGrad tensor.Vector, gr *gruGra
 		tr.cs = append(tr.cs, c)
 		tr.hs[t+1] = h
 	}
-	out := g.readout(tr.hs[steps])
+	out := readout(g.Wo, g.Bo, tr.hs[steps])
 
 	lv, err := loss.Eval(out, s.Y, lossGrad)
 	if err != nil {

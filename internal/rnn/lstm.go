@@ -3,11 +3,10 @@ package rnn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
+	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
-	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -73,18 +72,6 @@ func NewLSTM(inDim, hiddenDim, outDim int, keepProb float64, rng *rand.Rand) (*L
 	return l, nil
 }
 
-func (l *LSTM) checkSeq(xs []tensor.Vector) error {
-	if len(xs) == 0 {
-		return fmt.Errorf("lstm: empty sequence: %w", ErrConfig)
-	}
-	for t, x := range xs {
-		if len(x) != l.InDim {
-			return fmt.Errorf("lstm: step %d has dim %d, want %d: %w", t, len(x), l.InDim, ErrConfig)
-		}
-	}
-	return nil
-}
-
 // lstmStep advances one step given the masked recurrent input, returning
 // the gate activations, candidate, new cell state, tanh(c), and new hidden
 // state for reuse by BPTT.
@@ -127,7 +114,7 @@ func (l *LSTM) lstmStep(x, masked, cPrev tensor.Vector) (i, f, o, g, c, tc, h te
 
 // Forward runs the weight-scaled deterministic pass.
 func (l *LSTM) Forward(xs []tensor.Vector) (tensor.Vector, error) {
-	if err := l.checkSeq(xs); err != nil {
+	if err := checkSeq(xs, l.InDim); err != nil {
 		return nil, err
 	}
 	n := l.HiddenDim
@@ -140,12 +127,12 @@ func (l *LSTM) Forward(xs []tensor.Vector) (tensor.Vector, error) {
 		}
 		_, _, _, _, c, _, h = l.lstmStep(x, masked, c)
 	}
-	return l.readout(h), nil
+	return readout(l.Wo, l.Bro, h), nil
 }
 
 // ForwardSample runs one stochastic pass with a single per-sequence mask.
 func (l *LSTM) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
-	if err := l.checkSeq(xs); err != nil {
+	if err := checkSeq(xs, l.InDim); err != nil {
 		return nil, err
 	}
 	n := l.HiddenDim
@@ -164,110 +151,34 @@ func (l *LSTM) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector,
 		}
 		_, _, _, _, c, _, h = l.lstmStep(x, masked, c)
 	}
-	return l.readout(h), nil
+	return readout(l.Wo, l.Bro, h), nil
 }
 
-func (l *LSTM) readout(h tensor.Vector) tensor.Vector {
-	out := make(tensor.Vector, l.OutDim)
-	l.Wo.MulVecInto(h, out)
-	for j := range out {
-		out[j] += l.Bro[j]
-	}
-	return out
-}
-
-// lstmSigmoid and lstmTanh are the gate activation kernels, resolved once
-// per process: the PWL fits are deterministic and the kernels read-only.
-var lstmSigmoid, lstmTanh = kernelOnce(nn.ActSigmoid), kernelOnce(nn.ActTanh)
-
-func kernelOnce(act nn.Activation) func() (*core.ActKernel, error) {
-	return sync.OnceValues(func() (*core.ActKernel, error) {
-		_, ak, err := core.KernelFor(act, core.Options{})
-		return ak, err
+func (l *LSTM) newProp() (*prop, error) {
+	return newProp(kindLSTM, l.KeepProb, l.Wo, l.Bro, []gate{
+		{l.Wxi, l.Whi, l.Bi, nn.ActSigmoid}, {l.Wxf, l.Whf, l.Bf, nn.ActSigmoid},
+		{l.Wxo, l.Who, l.Bo, nn.ActSigmoid}, {l.Wxg, l.Whg, l.Bg, nn.ActTanh},
 	})
 }
 
-// PropagateMoments runs the closed-form LSTM moment pass.
+// PropagateMoments runs the closed-form LSTM moment pass: dense moments for
+// the four gate pre-activations, sigmoid/tanh gate moments, and Gaussian
+// product moments for c = f⊙c + i⊙g and h = o⊙tanh(c); then the readout.
 func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
-	if err := l.checkSeq(xs); err != nil {
-		return core.GaussianVec{}, err
-	}
-	sig, err := lstmSigmoid()
+	p, err := l.newProp()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
-	tanh, err := lstmTanh()
+	return p.propagate(xs)
+}
+
+// Cost returns the modeled cost of one PropagateMoments pass over a
+// steps-long sequence (see internal/edison), on the same model as the Elman
+// and GRU estimators' Cost.
+func (l *LSTM) Cost(steps int) (edison.Cost, error) {
+	p, err := l.newProp()
 	if err != nil {
-		return core.GaussianVec{}, err
+		return edison.Cost{}, err
 	}
-	nb := max(sig.NumBounds(), tanh.NumBounds())
-	bounds := make([]stats.Boundary, nb)
-	pms := make([]stats.PartialMoments, nb)
-	n := l.HiddenDim
-	p := l.KeepProb
-	woSq := l.Wo.Square()
-
-	type gateSpec struct {
-		wx, wh, whSq *tensor.Matrix
-		b            tensor.Vector
-		ak           *core.ActKernel
-		outM, outV   tensor.Vector
-	}
-	gates := []gateSpec{
-		{l.Wxi, l.Whi, l.Whi.Square(), l.Bi, sig, make(tensor.Vector, n), make(tensor.Vector, n)},
-		{l.Wxf, l.Whf, l.Whf.Square(), l.Bf, sig, make(tensor.Vector, n), make(tensor.Vector, n)},
-		{l.Wxo, l.Who, l.Who.Square(), l.Bo, sig, make(tensor.Vector, n), make(tensor.Vector, n)},
-		{l.Wxg, l.Whg, l.Whg.Square(), l.Bg, tanh, make(tensor.Vector, n), make(tensor.Vector, n)},
-	}
-
-	h := core.NewGaussianVec(n)
-	c := core.NewGaussianVec(n)
-	mM := make(tensor.Vector, n)
-	mV := make(tensor.Vector, n)
-	xContrib := make(tensor.Vector, n)
-	preM := make(tensor.Vector, n)
-	preV := make(tensor.Vector, n)
-
-	for _, x := range xs {
-		for j := 0; j < n; j++ {
-			mu, v := h.Mean[j], h.Var[j]
-			mM[j] = p * mu
-			mV[j] = p*(mu*mu+v) - p*p*mu*mu
-		}
-		for _, gt := range gates {
-			gt.wx.MulVecInto(x, xContrib)
-			gt.wh.MulVecInto(mM, preM)
-			gt.whSq.MulVecInto(mV, preV)
-			for j := 0; j < n; j++ {
-				m := xContrib[j] + preM[j] + gt.b[j]
-				v := preV[j]
-				if v < 0 {
-					v = 0
-				}
-				gt.outM[j], gt.outV[j] = gt.ak.Moments(m, v, bounds, pms)
-			}
-		}
-		iM, iV := gates[0].outM, gates[0].outV
-		fM, fV := gates[1].outM, gates[1].outV
-		oM, oV := gates[2].outM, gates[2].outV
-		gM, gV := gates[3].outM, gates[3].outV
-		for j := 0; j < n; j++ {
-			// c = f⊙c + i⊙g under the independence approximation.
-			fcM, fcV := productMoments(fM[j], fV[j], c.Mean[j], c.Var[j])
-			igM, igV := productMoments(iM[j], iV[j], gM[j], gV[j])
-			c.Mean[j] = fcM + igM
-			c.Var[j] = fcV + igV
-			// h = o ⊙ tanh(c).
-			tcM, tcV := tanh.Moments(c.Mean[j], c.Var[j], bounds, pms)
-			h.Mean[j], h.Var[j] = productMoments(oM[j], oV[j], tcM, tcV)
-		}
-	}
-
-	out := core.NewGaussianVec(l.OutDim)
-	l.Wo.MulVecInto(h.Mean, out.Mean)
-	woSq.MulVecInto(h.Var, out.Var)
-	for j := range out.Mean {
-		out.Mean[j] += l.Bro[j]
-	}
-	return out, nil
+	return p.cost(steps), nil
 }

@@ -59,7 +59,7 @@ func TrainLSTM(l *LSTM, data []Sample, cfg TrainConfig) error {
 		return err
 	}
 	for i, s := range data {
-		if err := l.checkSeq(s.Xs); err != nil {
+		if err := checkSeq(s.Xs, l.InDim); err != nil {
 			return fmt.Errorf("sample %d: %w", i, err)
 		}
 		if len(s.Y) == 0 {
@@ -132,7 +132,7 @@ func (l *LSTM) bptt(s Sample, loss train.Loss, lossGrad tensor.Vector, gr *lstmG
 		tr.hs[t+1] = h
 		tr.cs[t+1] = c
 	}
-	out := l.readout(tr.hs[steps])
+	out := readout(l.Wo, l.Bro, tr.hs[steps])
 
 	lv, err := loss.Eval(out, s.Y, lossGrad)
 	if err != nil {

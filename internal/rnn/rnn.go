@@ -12,9 +12,11 @@
 // correlations the shared mask induces across timesteps; the Monte-Carlo
 // tests quantify that approximation.
 //
-// The package provides a single-layer Elman recurrence with a dense readout,
-// deterministic and stochastic forward passes, truncated-BPTT training, and
-// the closed-form moment pass.
+// The package provides single-layer Elman, GRU and LSTM recurrences with a
+// dense readout, deterministic and stochastic forward passes, BPTT training,
+// and the closed-form moment pass. All three cells share one moment engine
+// (moments.go); Elman cells and GRUs serve through one core.Estimator
+// (estimator.go).
 package rnn
 
 import (
@@ -25,7 +27,6 @@ import (
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
-	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -96,7 +97,7 @@ func (c *Cell) stepDet(x, h tensor.Vector, out tensor.Vector) {
 // Forward runs the weight-scaled deterministic pass over a sequence of
 // input vectors and returns the readout of the final hidden state.
 func (c *Cell) Forward(xs []tensor.Vector) (tensor.Vector, error) {
-	if err := c.checkSeq(xs); err != nil {
+	if err := checkSeq(xs, c.InDim); err != nil {
 		return nil, err
 	}
 	h := make(tensor.Vector, c.HiddenDim)
@@ -105,13 +106,13 @@ func (c *Cell) Forward(xs []tensor.Vector) (tensor.Vector, error) {
 		c.stepDet(x, h, next)
 		h, next = next, h
 	}
-	return c.readout(h), nil
+	return readout(c.Wo, c.Bo, h), nil
 }
 
 // ForwardSample runs one stochastic pass: a single recurrent mask is drawn
 // and reused at every timestep (variational recurrent dropout).
 func (c *Cell) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
-	if err := c.checkSeq(xs); err != nil {
+	if err := checkSeq(xs, c.InDim); err != nil {
 		return nil, err
 	}
 	mask := make([]float64, c.HiddenDim)
@@ -135,169 +136,28 @@ func (c *Cell) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector,
 		}
 		h, next = next, h
 	}
-	return c.readout(h), nil
+	return readout(c.Wo, c.Bo, h), nil
 }
 
-func (c *Cell) readout(h tensor.Vector) tensor.Vector {
-	out := make(tensor.Vector, c.OutDim)
-	c.Wo.MulVecInto(h, out)
-	for j := range out {
-		out[j] += c.Bo[j]
-	}
-	return out
-}
-
-func (c *Cell) checkSeq(xs []tensor.Vector) error {
-	if len(xs) == 0 {
-		return fmt.Errorf("empty sequence: %w", ErrConfig)
-	}
-	for t, x := range xs {
-		if len(x) != c.InDim {
-			return fmt.Errorf("step %d has dim %d, want %d: %w", t, len(x), c.InDim, ErrConfig)
-		}
-	}
-	return nil
-}
-
-// CellProp is a prepared moment propagator for one Cell: the squared weight
-// matrices, the resolved activation-moment kernel (exact closed form for
-// rectifier recurrences, PWL otherwise — the same dispatch as the
-// dense propagator, via core.KernelFor), and reusable scratch. Build once
-// per trained cell with Cell.NewProp; Step/Readout are the first-class
-// step-level propagation API the differential harness exercises.
-//
-// A CellProp snapshots W² at construction; rebuild it after mutating the
-// cell's weights.
-type CellProp struct {
-	c    *Cell
-	ak   *core.ActKernel
-	whSq *tensor.Matrix
-	woSq *tensor.Matrix
-
-	preMean, preVar, muIn, varIn, xContrib tensor.Vector
-	bounds                                 []stats.Boundary
-	pms                                    []stats.PartialMoments
-}
-
-// NewProp prepares moment propagation for the cell's current weights.
-func (c *Cell) NewProp() (*CellProp, error) {
-	_, ak, err := core.KernelFor(c.Act, core.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("rnn: %w", err)
-	}
-	return &CellProp{
-		c: c, ak: ak,
-		whSq: c.Wh.Square(), woSq: c.Wo.Square(),
-		preMean:  make(tensor.Vector, c.HiddenDim),
-		preVar:   make(tensor.Vector, c.HiddenDim),
-		muIn:     make(tensor.Vector, c.HiddenDim),
-		varIn:    make(tensor.Vector, c.HiddenDim),
-		xContrib: make(tensor.Vector, c.HiddenDim),
-		bounds:   make([]stats.Boundary, ak.NumBounds()),
-		pms:      make([]stats.PartialMoments, ak.NumBounds()),
-	}, nil
-}
-
-// Step advances the hidden-state moments one timestep in place:
-//
-//	pre = x_t Wx + b + dropout-moments(h_{t−1}) Wh      (eqs. 9–10)
-//	h_t ~ activation moments of pre                      (eqs. 12–26 / exact)
-//
-// KeepProb == 1 bypasses the dropout moment algebra — (μ²+σ²)·p − μ²·p²
-// rounds σ² away against a large μ, and with no mask the input moments pass
-// through unchanged.
-func (p *CellProp) Step(h core.GaussianVec, x tensor.Vector) error {
-	c := p.c
-	if len(x) != c.InDim {
-		return fmt.Errorf("step input dim %d, want %d: %w", len(x), c.InDim, ErrConfig)
-	}
-	if h.Dim() != c.HiddenDim {
-		return fmt.Errorf("state dim %d, want %d: %w", h.Dim(), c.HiddenDim, ErrConfig)
-	}
-	kp := c.KeepProb
-	c.Wx.MulVecInto(x, p.xContrib)
-	if kp == 1 {
-		copy(p.muIn, h.Mean)
-		copy(p.varIn, h.Var)
-	} else {
-		for i := 0; i < c.HiddenDim; i++ {
-			mu, s2 := h.Mean[i], h.Var[i]
-			p.muIn[i] = mu * kp
-			p.varIn[i] = (mu*mu+s2)*kp - mu*mu*kp*kp
-		}
-	}
-	c.Wh.MulVecInto(p.muIn, p.preMean)
-	p.whSq.MulVecInto(p.varIn, p.preVar)
-	for j := 0; j < c.HiddenDim; j++ {
-		m := p.xContrib[j] + p.preMean[j] + c.B[j]
-		v := p.preVar[j]
-		if v < 0 {
-			v = 0
-		}
-		h.Mean[j], h.Var[j] = p.ak.Moments(m, v, p.bounds, p.pms)
-	}
-	return nil
-}
-
-// Readout maps final-state moments through the linear readout.
-func (p *CellProp) Readout(h core.GaussianVec) core.GaussianVec {
-	c := p.c
-	out := core.NewGaussianVec(c.OutDim)
-	c.Wo.MulVecInto(h.Mean, out.Mean)
-	p.woSq.MulVecInto(h.Var, out.Var)
-	for j := range out.Mean {
-		out.Mean[j] += c.Bo[j]
-	}
-	return out
+func (c *Cell) newProp() (*prop, error) {
+	return newProp(kindElman, c.KeepProb, c.Wo, c.Bo, []gate{{c.Wx, c.Wh, c.B, c.Act}})
 }
 
 // PropagateMoments runs the closed-form moment pass: the hidden state is a
-// diagonal Gaussian updated per step (CellProp.Step), and the readout maps
-// the final state's moments linearly. The per-step application of the
+// diagonal Gaussian updated per step — dropout moments of h_{t−1} through
+// Wh (eqs. 9–10) plus x_t Wx + b, then the activation moments (eqs. 12–26,
+// or the exact closed form for rectifier recurrences) — and the readout
+// maps the final state's moments linearly. The per-step application of the
 // dropout formulas treats the recurrent mask as fresh at each step; the
 // shared-mask temporal correlation is dropped, which the tests show is a
 // variance-underestimating approximation of the same nature as the paper's
 // layer-wise independence.
 func (c *Cell) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
-	if err := c.checkSeq(xs); err != nil {
-		return core.GaussianVec{}, err
-	}
-	prop, err := c.NewProp()
+	p, err := c.newProp()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
-	h := core.NewGaussianVec(c.HiddenDim)
-	for _, x := range xs {
-		if err := prop.Step(h, x); err != nil {
-			return core.GaussianVec{}, err
-		}
-	}
-	return prop.Readout(h), nil
-}
-
-// PropagateMomentsBatch runs PropagateMoments over a batch of sequences
-// with one shared CellProp. Each sequence's recursion is independent, so
-// the result is bit-identical to sequential PropagateMoments calls — the
-// property the differential harness pins.
-func (c *Cell) PropagateMomentsBatch(seqs [][]tensor.Vector) ([]core.GaussianVec, error) {
-	prop, err := c.NewProp()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.GaussianVec, len(seqs))
-	for s, xs := range seqs {
-		if err := c.checkSeq(xs); err != nil {
-			return nil, fmt.Errorf("sequence %d: %w", s, err)
-		}
-		h := core.NewGaussianVec(c.HiddenDim)
-		for _, x := range xs {
-			if err := prop.Step(h, x); err != nil {
-				return nil, fmt.Errorf("sequence %d: %w", s, err)
-			}
-		}
-		out[s] = prop.Readout(h)
-	}
-	return out, nil
+	return p.propagate(xs)
 }
 
 // SpectralRadiusBound returns a crude stability bound on the recurrent

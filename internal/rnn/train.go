@@ -74,7 +74,7 @@ func Train(c *Cell, data []Sample, cfg TrainConfig) error {
 		return err
 	}
 	for i, s := range data {
-		if err := c.checkSeq(s.Xs); err != nil {
+		if err := checkSeq(s.Xs, c.InDim); err != nil {
 			return fmt.Errorf("sample %d: %w", i, err)
 		}
 		if len(s.Y) == 0 {
@@ -151,7 +151,7 @@ func (c *Cell) bptt(s Sample, loss train.Loss, lossGrad tensor.Vector, g *cellGr
 		pres[t] = pre
 		hs[t+1] = h
 	}
-	out := c.readout(hs[steps])
+	out := readout(c.Wo, c.Bo, hs[steps])
 
 	lv, err := loss.Eval(out, s.Y, lossGrad)
 	if err != nil {
