@@ -27,6 +27,7 @@ fuzz:
 	go test -run NONE -fuzz 'FuzzExactVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 2m ./internal/core
+	go test -run NONE -fuzz 'FuzzActPanel' -fuzztime 2m ./internal/stats
 	go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 2m ./internal/nn
 
 bench:

@@ -5,7 +5,6 @@ import (
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/piecewise"
-	"github.com/apdeepsense/apdeepsense/internal/stats"
 )
 
 // PropagateMoments pushes a Gaussian sequence through the convolution with
@@ -59,8 +58,6 @@ func (l *Conv1D) PropagateMomentsKernel(g GaussianSeq, ak *core.ActKernel) (Gaus
 		return GaussianSeq{}, err
 	}
 	p := l.KeepProb
-	bounds := make([]stats.Boundary, ak.NumBounds())
-	pms := make([]stats.PartialMoments, ak.NumBounds())
 	out := NewGaussianSeq(outSteps, l.OutCh)
 	for t := 0; t < outSteps; t++ {
 		base := t * l.Stride
@@ -85,11 +82,13 @@ func (l *Conv1D) PropagateMomentsKernel(g GaussianSeq, ak *core.ActKernel) (Gaus
 			if variance < 0 {
 				variance = 0
 			}
-			m, v := ak.Moments(mean, variance, bounds, pms)
-			out.Mean.Set(t, o, m)
-			out.Var.Set(t, o, v)
+			out.Mean.Set(t, o, mean)
+			out.Var.Set(t, o, variance)
 		}
 	}
+	// The whole steps×channels pre-activation is one contiguous panel.
+	var sc core.ActScratch
+	ak.MomentsPanel(out.Mean.Data, out.Var.Data, &sc)
 	return out, nil
 }
 

@@ -196,29 +196,24 @@ func (p *Propagator) propagateInterpreted(gb, out GaussianBatch, h *Hooks) {
 }
 
 // batchScratch is one worker's reusable buffers: ping-pong mean/variance
-// panels sized rows×maxDim plus the per-element boundary-term scratch of the
-// activation kernel. Pooled on the Propagator so steady-state batches
-// allocate nothing but their result.
+// panels sized rows×maxDim plus the activation kernel's panel scratch.
+// Pooled on the Propagator so steady-state batches allocate nothing but
+// their result.
 type batchScratch struct {
 	curMu, curVar []float64
 	nxtMu, nxtVar []float64
-	bounds        []stats.Boundary
-	pms           []stats.PartialMoments
+	act           ActScratch
 	// warm distinguishes a pooled buffer set (true) from a fresh sync.Pool
 	// allocation, feeding the Hooks.ScratchGet hit/miss signal.
 	warm bool
 }
 
-func (s *batchScratch) ensure(n, nBounds int) {
+func (s *batchScratch) ensure(n int) {
 	if len(s.curMu) < n {
 		s.curMu = make([]float64, n)
 		s.curVar = make([]float64, n)
 		s.nxtMu = make([]float64, n)
 		s.nxtVar = make([]float64, n)
-	}
-	if len(s.bounds) < nBounds {
-		s.bounds = make([]stats.Boundary, nBounds)
-		s.pms = make([]stats.PartialMoments, nBounds)
 	}
 }
 
@@ -243,7 +238,7 @@ func (p *Propagator) propagateRows(in, out GaussianBatch, lo, hi int, h *Hooks, 
 		h.ScratchGet(sc.warm)
 	}
 	sc.warm = true
-	sc.ensure(rows*p.maxDim, p.maxBounds)
+	sc.ensure(rows * p.maxDim)
 	dim := in.Dim()
 	copy(sc.curMu[:rows*dim], in.Mean.Data[lo*dim:hi*dim])
 	copy(sc.curVar[:rows*dim], in.Var.Data[lo*dim:hi*dim])
@@ -262,9 +257,9 @@ func (p *Propagator) propagateRows(in, out GaussianBatch, lo, hi int, h *Hooks, 
 		tensor.DualMulInto(p.panels[li], sc.curMu[:rows*nIn], sc.curVar[:rows*nIn], mu, va, rows)
 		ak := p.kernels[li]
 		if li+1 < len(layers) && trace == nil {
-			ak.activate(l.B, mu, va, layers[li+1].KeepProb, sc)
+			ak.activate(l.B, mu, va, layers[li+1].KeepProb, &sc.act)
 		} else {
-			ak.activate(l.B, mu, va, math.NaN(), sc)
+			ak.activate(l.B, mu, va, math.NaN(), &sc.act)
 			if trace != nil {
 				trace[li] = GaussianVec{Mean: tensor.Vector(mu).Clone(), Var: tensor.Vector(va).Clone()}
 				if li+1 < len(layers) {
@@ -295,36 +290,26 @@ func dropoutPrep(mu, va []float64, keep float64) {
 	}
 }
 
-// activate is one fused sweep over a layer's rows×len(bias) matmul output,
-// in place: bias add, the variance clamp for floating-point cancellation
-// (exactly as DenseMoments), the activation moments, and — unless nextKeep
-// is NaN — the next layer's dropout prep. Fusing keeps each element's
-// operation sequence identical to the separate passes while touching the
-// panel once instead of four times.
-func (ak *ActKernel) activate(bias, mu, va []float64, nextKeep float64, sc *batchScratch) {
+// activate runs a layer's activation step over its rows×len(bias) matmul
+// output, in place, one row at a time: bias add and the variance clamp for
+// floating-point cancellation (exactly as DenseMoments), the activation
+// moments as one MomentsPanel pass, and — unless nextKeep is NaN — the next
+// layer's dropout prep. Each element sees the same operation sequence as
+// the separate per-element steps; a row stays in cache across the passes.
+func (ak *ActKernel) activate(bias, mu, va []float64, nextKeep float64, sc *ActScratch) {
 	n := len(bias)
-	prep := !math.IsNaN(nextKeep)
 	for r := 0; r < len(mu); r += n {
 		o := mu[r : r+n]
 		v := va[r : r+n][:n]
-		if prep {
-			for j, bj := range bias {
-				s2 := v[j]
-				if s2 < 0 {
-					s2 = 0
-				}
-				m, mv := ak.Moments(o[j]+bj, s2, sc.bounds, sc.pms)
-				o[j] = m * nextKeep
-				v[j] = (m*m+mv)*nextKeep - m*m*nextKeep*nextKeep
+		for j, bj := range bias {
+			o[j] += bj
+			if v[j] < 0 {
+				v[j] = 0
 			}
-		} else {
-			for j, bj := range bias {
-				s2 := v[j]
-				if s2 < 0 {
-					s2 = 0
-				}
-				o[j], v[j] = ak.Moments(o[j]+bj, s2, sc.bounds, sc.pms)
-			}
+		}
+		ak.MomentsPanel(o, v, sc)
+		if !math.IsNaN(nextKeep) {
+			dropoutPrep(o, v, nextKeep)
 		}
 	}
 }
@@ -332,13 +317,16 @@ func (ak *ActKernel) activate(bias, mu, va []float64, nextKeep float64, sc *batc
 // ActKernel is the batched activation-moment kernel: the same eqs. 12–26 as
 // ActivationMoments, restructured for a panel of elements. The per-piece
 // slopes, intercepts, and knots live in flat arrays hoisted out of the
-// per-element call, and the truncated-moment boundary terms (one erf and one
-// Gaussian density per knot) are computed once per knot instead of twice —
-// adjacent pieces share their boundary. Moments evaluates only the knot
-// window of each element: knots standardized past ±stats.TailZ carry the
-// constant tail boundary, so the pieces beyond them carry exact zeros and are
-// skipped. Outputs are bit-identical to ActivationMoments (see
-// TestActivationKernelExact and TestKnotWindowMatchesFullAssembly).
+// per-element call, and the truncated-moment boundary terms (erf, φ and z·φ
+// from one shared exp(−z²/2), stats.BoundaryFrom) are computed once per knot
+// instead of twice — adjacent pieces share their boundary. Only the knot
+// window of each element is evaluated: knots standardized past ±stats.TailZ
+// carry the constant tail boundary, so the pieces beyond them carry exact
+// zeros and are skipped. MomentsPanel runs many elements as passes with one
+// vectorized transcendental pass between them; Moments is its one-element
+// form. Outputs are bit-identical to ActivationMoments (see
+// TestActivationKernelExact and TestKnotWindowMatchesFullAssembly) and
+// across the two entries (internal/stats TestActPanelMatchesMoments).
 type ActKernel struct {
 	f     *piecewise.Func // point-mass fast path (f.Eval)
 	knots []float64       // n+1 piece boundaries, ascending, knots[0] = −Inf, knots[n] = +Inf
@@ -410,7 +398,10 @@ func (ak *ActKernel) NumBounds() int { return len(ak.knots) }
 
 // Moments pushes one scalar Gaussian through the kernel, using bounds and
 // pms (each at least len(knots) long) as per-worker scratch — caller-owned
-// so the per-element call zeroes no stack arrays.
+// so the per-element call zeroes no stack arrays. It is the one-element form
+// of MomentsPanel's passes — standardize, shared-exp terms, assemble — with
+// the scalar reference (stats.GaussTermsAt) in the middle, so the two agree
+// bit for bit.
 func (ak *ActKernel) Moments(mu, variance float64, bounds []stats.Boundary, pms []stats.PartialMoments) (outMean, outVar float64) {
 	sigma := math.Sqrt(variance)
 	if sigma <= SigmaFloor*(1+math.Abs(mu)) {
@@ -418,48 +409,99 @@ func (ak *ActKernel) Moments(mu, variance float64, bounds []stats.Boundary, pms 
 		return ak.f.Eval(mu), 0
 	}
 	if ak.exact {
-		if ak.alpha == 0 {
-			return stats.RectifiedMoments(mu, sigma)
-		}
-		return stats.LeakyRectifiedMoments(mu, sigma, ak.alpha)
+		z := mu / sigma
+		e, q := stats.GaussTermsAt(z)
+		return stats.RectifiedMomentsFrom(mu, sigma, ak.alpha, z, e, q)
 	}
+	if !isFinite(mu) || !isFinite(sigma) {
+		return ak.nonFinite(mu, sigma, bounds, pms)
+	}
+	var zArr [16]float64
+	zs := zArr[:]
+	if len(ak.knots) > len(zArr) {
+		zs = make([]float64, len(ak.knots))
+	}
+	plo, phi := ak.window(mu, sigma, zs)
+	if plo == phi {
+		return ak.onePiece(plo, mu, sigma)
+	}
+	for j, z := range zs[:phi-plo] {
+		e, q := stats.GaussTermsAt(z)
+		bounds[plo+1+j] = stats.BoundaryFrom(z, e, q)
+	}
+	return ak.assemble(mu, sigma, plo, phi, bounds, pms)
+}
 
+// window is the standardize pass of one finite element: one ascending scan
+// of the knots, z_t = (x_t − μ)/σ. A knot at z ≤ −TailZ ends the dead pieces
+// below it, the first knot at z ≥ +TailZ starts the dead pieces above it.
+// Dead pieces lie between two constant tail boundaries, so their D, M, V are
+// exact zeros and their terms add ±0 to sums that start at +0: skipping them
+// changes no bit. It returns the live pieces plo..phi and writes the
+// phi−plo live knots' z, in order, to zs. A knot with |x_t − μ| > lim, where
+// lim = fl(tailLim·σ) > TailZ·σ, is dead without the division: its quotient
+// is beyond ±TailZ before rounding, so it rounds to the same side.
+func (ak *ActKernel) window(mu, sigma float64, zs []float64) (plo, phi int) {
 	n := len(ak.k)
-	plo, phi := 0, n-1 // the live pieces
+	plo, phi = 0, n-1
+	lim := tailLim * sigma
+	j := 0
+	for t := 1; t < n; t++ {
+		d := ak.knots[t] - mu
+		if d < -lim {
+			plo = t
+			continue
+		}
+		if d > lim {
+			phi = t - 1
+			break
+		}
+		z := d / sigma
+		if z <= -stats.TailZ {
+			plo = t
+			continue
+		}
+		if z >= stats.TailZ {
+			phi = t - 1
+			break
+		}
+		zs[j] = z
+		j++
+	}
+	return plo, phi
+}
+
+// tailLim is TailZ widened by far more than one rounding of tailLim·σ, so
+// |x − μ| > fl(tailLim·σ) implies |x − μ|/σ > TailZ exactly.
+const tailLim = stats.TailZ * (1 + 1e-9)
+
+// onePiece is the moments of a finite element whose only live piece is p,
+// between two tail boundaries: D = 1, M = 0, V = σ²·1, which assemble
+// reduces to exactly this.
+func (ak *ActKernel) onePiece(p int, mu, sigma float64) (outMean, outVar float64) {
+	k, c := ak.k[p], ak.c[p]
+	return k*mu + c, k * k * (sigma * sigma * 1)
+}
+
+// nonFinite is Moments for NaN or infinite moments: every knot, ±Inf ones
+// included, is standardized, so NaN reaches the boundary terms and
+// propagates as in the reference.
+func (ak *ActKernel) nonFinite(mu, sigma float64, bounds []stats.Boundary, pms []stats.PartialMoments) (outMean, outVar float64) {
+	for t, x := range ak.knots {
+		bounds[t] = stats.BoundaryAt(x, mu, sigma)
+	}
+	return ak.assemble(mu, sigma, 0, len(ak.k)-1, bounds, pms)
+}
+
+// assemble is the final pass: the partial moments of the live pieces
+// plo..phi from bounds[plo..phi+1], then the mean and the centered variance
+// (eqs. 18–22). For a finite element the outer bounds are the constant tail
+// boundaries, set here.
+func (ak *ActKernel) assemble(mu, sigma float64, plo, phi int, bounds []stats.Boundary, pms []stats.PartialMoments) (outMean, outVar float64) {
 	if isFinite(mu) && isFinite(sigma) {
-		// Knot window, one ascending scan: a knot at z ≤ −TailZ ends the
-		// dead pieces below it, the first knot at z ≥ +TailZ starts the dead
-		// pieces above it. Dead pieces lie between two constant tail
-		// boundaries, so their D, M, V are exact zeros and their terms add
-		// ±0 to sums that start at +0: skipping them changes no bit.
-		for t := 1; t < n; t++ {
-			z := (ak.knots[t] - mu) / sigma
-			if z <= -stats.TailZ {
-				plo = t
-				continue
-			}
-			if z >= stats.TailZ {
-				phi = t - 1
-				break
-			}
-			bounds[t] = stats.BoundaryZ(z)
-		}
-		if plo == phi {
-			// One live piece between two tail boundaries: D = 1, M = 0,
-			// V = σ²·1, which the assembly below reduces to exactly this.
-			k, c := ak.k[plo], ak.c[plo]
-			return k*mu + c, k * k * (sigma * sigma * 1)
-		}
 		bounds[plo] = stats.Boundary{Erf: -1}
 		bounds[phi+1] = stats.Boundary{Erf: 1}
-	} else {
-		// Non-finite moments standardize every knot, ±Inf ones included,
-		// so NaN reaches erf/exp and propagates as in the reference.
-		for t := 0; t <= n; t++ {
-			bounds[t] = stats.BoundaryAt(ak.knots[t], mu, sigma)
-		}
 	}
-
 	for i := plo; i <= phi; i++ {
 		pms[i] = stats.MomentsBetween(bounds[i], bounds[i+1], sigma)
 	}
@@ -474,6 +516,106 @@ func (ak *ActKernel) Moments(mu, variance float64, bounds []stats.Boundary, pms 
 		outVar = 0
 	}
 	return outMean, outVar
+}
+
+// panelTile is the number of elements MomentsPanel standardizes before one
+// shared-exp pass: enough to fill the vector kernel, small enough that a
+// tile's z, e and q arrays stay in L1.
+const panelTile = 256
+
+// ActScratch is one worker's scratch for MomentsPanel. The zero value is
+// ready; buffers grow on first use and are reused after. It must not be
+// shared between concurrent calls.
+type ActScratch struct {
+	bounds  []stats.Boundary
+	pms     []stats.PartialMoments
+	z, e, q []float64   // the tile's live standardized points and their terms
+	pend    []panelElem // the tile's elements awaiting assembly
+}
+
+// panelElem is one element of a tile that the standardize pass could not
+// finish: its moments, the index it came from, and where its live knots'
+// z values start in the tile's flat arrays.
+type panelElem struct {
+	mu, sigma float64
+	i, off    int
+	plo, phi  int
+}
+
+// ensure sizes the scratch for tiles of up to tile elements of a kernel
+// with nKnots knots.
+func (sc *ActScratch) ensure(tile, nKnots int) {
+	if len(sc.bounds) < nKnots {
+		sc.bounds = make([]stats.Boundary, nKnots)
+		sc.pms = make([]stats.PartialMoments, nKnots)
+	}
+	// A PWL element has at most nKnots−2 live (finite, interior) knots and
+	// an exact one a single z.
+	if n := tile * max(nKnots-2, 1); len(sc.z) < n {
+		sc.z = make([]float64, n)
+		sc.e = make([]float64, n)
+		sc.q = make([]float64, n)
+	}
+	if cap(sc.pend) < tile {
+		sc.pend = make([]panelElem, 0, tile)
+	}
+}
+
+// MomentsPanel replaces every (mu[i], va[i]) by the activation moments of
+// N(mu[i], va[i]), Float64bits-identical to Moments element by element.
+// va must be at least len(mu) long. Elements run in tiles of three passes:
+// standardize every element's live knots (one z per rectifier element) into
+// a flat array, finishing point masses, one-piece windows and non-finite
+// moments on the spot; evaluate exp(−z²/2) and erfc(|z|/√2) for the whole
+// array in one stats.GaussTerms call, the vector kernel where the CPU has
+// one; then assemble each pending element.
+func (ak *ActKernel) MomentsPanel(mu, va []float64, sc *ActScratch) {
+	sc.ensure(min(len(mu), panelTile), len(ak.knots))
+	va = va[:len(mu)]
+	for lo := 0; lo < len(mu); lo += panelTile {
+		hi := min(lo+panelTile, len(mu))
+		ak.panelTile(mu[lo:hi], va[lo:hi], sc)
+	}
+}
+
+func (ak *ActKernel) panelTile(mu, va []float64, sc *ActScratch) {
+	pend := sc.pend[:0]
+	nz := 0
+	for i, m := range mu {
+		sigma := math.Sqrt(va[i])
+		switch {
+		case sigma <= SigmaFloor*(1+math.Abs(m)):
+			mu[i], va[i] = ak.f.Eval(m), 0
+		case ak.exact:
+			sc.z[nz] = m / sigma
+			pend = append(pend, panelElem{mu: m, sigma: sigma, i: i, off: nz})
+			nz++
+		case !isFinite(m) || !isFinite(sigma):
+			mu[i], va[i] = ak.nonFinite(m, sigma, sc.bounds, sc.pms)
+		default:
+			plo, phi := ak.window(m, sigma, sc.z[nz:])
+			if plo == phi {
+				mu[i], va[i] = ak.onePiece(plo, m, sigma)
+				continue
+			}
+			pend = append(pend, panelElem{mu: m, sigma: sigma, i: i, off: nz, plo: plo, phi: phi})
+			nz += phi - plo
+		}
+	}
+	z, e, q := sc.z[:nz], sc.e[:nz], sc.q[:nz]
+	stats.GaussTerms(z, e, q)
+	for _, p := range pend {
+		if ak.exact {
+			mu[p.i], va[p.i] = stats.RectifiedMomentsFrom(p.mu, p.sigma, ak.alpha, z[p.off], e[p.off], q[p.off])
+			continue
+		}
+		for j := 0; j < p.phi-p.plo; j++ {
+			t := p.off + j
+			sc.bounds[p.plo+1+j] = stats.BoundaryFrom(z[t], e[t], q[t])
+		}
+		mu[p.i], va[p.i] = ak.assemble(p.mu, p.sigma, p.plo, p.phi, sc.bounds, sc.pms)
+	}
+	sc.pend = pend
 }
 
 // isFinite reports whether x is neither NaN nor ±Inf.

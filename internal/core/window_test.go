@@ -240,3 +240,26 @@ func benchmarkActKernel(b *testing.B, act nn.Activation) {
 
 func BenchmarkActKernelTanh7(b *testing.B) { benchmarkActKernel(b, nn.ActTanh) }
 func BenchmarkActKernelReLU(b *testing.B)  { benchmarkActKernel(b, nn.ActReLU) }
+
+// benchmarkActPanel times the layer-1 activation step as the engine runs it:
+// the 64×256 pre-activation panel through MomentsPanel one 256-unit row at a
+// time (as activate does), reported per unit. The copy that restores the
+// inputs each round is inside the timing.
+func benchmarkActPanel(b *testing.B, act nn.Activation) {
+	ak, mus, vars := benchLayer1(b, act)
+	const width = 256
+	mu, va := make([]float64, len(mus)), make([]float64, len(vars))
+	var sc ActScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(mu, mus)
+		copy(va, vars)
+		for r := 0; r < len(mu); r += width {
+			ak.MomentsPanel(mu[r:r+width], va[r:r+width], &sc)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(mus)), "ns/unit")
+}
+
+func BenchmarkActPanelTanh7(b *testing.B) { benchmarkActPanel(b, nn.ActTanh) }
+func BenchmarkActPanelReLU(b *testing.B)  { benchmarkActPanel(b, nn.ActReLU) }

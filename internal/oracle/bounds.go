@@ -154,3 +154,43 @@ func TailBudget(f *piecewise.Func, scale, width float64) (mean, variance float64
 	variance = scale*scale*stats.TailZPhiMax*dk2 + 2*width*mean + mean*mean
 	return mean, variance
 }
+
+// ErfBudget bounds, a priori, how far the fast kernels' shared-exp boundary
+// terms (stats.BoundaryZ: erf within stats.ErfAbsErr, φ within
+// stats.PhiRelErr) move the output moments of the continuous PWL activation
+// f from the exact-term moments, for a Gaussian with σ ≤ scale and
+// |f(x_t) − E[f]| ≤ width at every knot. Only knots inside the window
+// |z_t| < stats.TailZ carry computed terms. With Δk_t and Δ(k²)_t the slope
+// changes at knot t, perturbing erf_t by δ and φ_t by δφ moves, to first
+// order (continuity as in TailBudget; the variance is stationary in the
+// mean, so only the boundary terms enter):
+//
+//	δmean = Σ_t σ·Δk_t·(½·δ·z_t + δφ)
+//	δvar  = Σ_t ½·δ·[2(f(x_t) − mean)·σ·z_t·Δk_t − σ²(1 + z_t²)·Δ(k²)_t]
+//	           + 2σ·δφ·Δk_t·(f(x_t) − mean) − σ²·(z_t·δφ − ρ_t)·Δ(k²)_t
+//
+// with ρ_t the rounding of z·φ. |z_t| < TailZ, φ ≤ 1/√(2π) and |z|φ ≤ φ(1)
+// turn these into the returned bounds; the mean's erf part is the
+// ½·ErfAbsErr·σ·TailZ·Σ|Δk| of the erf error. The exact rectifier forms
+// depend on Φ and φ through the same terms, and past the window their
+// erfc keeps relative accuracy (stats.ErfcRelErr), so the bound covers them
+// too. Nothing is tuned: the inputs are the slopes and the derived stats
+// constants.
+func ErfBudget(f *piecewise.Func, scale, width float64) (mean, variance float64) {
+	const (
+		invSqrt2Pi = 0.3989422804014327
+		zPhiMax    = 0.24197072451914337 // φ(1) = max |z|·φ(z)
+		unit       = 0x1p-53
+	)
+	var dk, dk2 float64
+	for i := 1; i < f.NumPieces(); i++ {
+		lo, hi := f.Piece(i-1).K, f.Piece(i).K
+		dk += math.Abs(hi - lo)
+		dk2 += math.Abs(hi*hi - lo*lo)
+	}
+	eErf, ePhi := stats.ErfAbsErr, stats.PhiRelErr
+	mean = scale * dk * (0.5*eErf*stats.TailZ + ePhi*invSqrt2Pi)
+	variance = 0.5*eErf*(scale*scale*(1+stats.TailZ*stats.TailZ)*dk2+2*width*scale*stats.TailZ*dk) +
+		2*scale*ePhi*invSqrt2Pi*width*dk + scale*scale*(ePhi+unit)*zPhiMax*dk2 + mean*mean
+	return mean, variance
+}

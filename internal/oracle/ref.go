@@ -141,8 +141,9 @@ func (r *Ref) SupErr(i int) float64 { return r.supErr[i] }
 // standardized quadrature and centered variance pass lose only ~eps·|result|.
 // The budget injects condEps·S and condEps·S² at every non-identity
 // activation (condEps is hundreds of ulps — generous headroom over the
-// handful of additions each closed form performs), plus the derived bound on
-// what the fast kernels' shared tail cutoff drops (TailBudget), and
+// handful of additions each closed form performs), plus the derived bounds on
+// what the fast kernels' shared tail cutoff drops (TailBudget) and on the
+// error of their shared-exp erf/φ terms (ErfBudget), and
 // propagates the running error with the same layer sensitivities ErrorBudget
 // uses, evaluated on the actual moments of this pass rather than worst-case
 // assumptions.

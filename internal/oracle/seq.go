@@ -54,15 +54,17 @@ func seqActFit(act nn.Activation, opts core.Options) (f *piecewise.Func, eval fu
 // actInject applies one activation step of the conditioning-budget
 // recursion, shared by every reference: fresh condEps noise at the
 // pre-activation moment scale, the derived tail-cutoff bound of f
-// (TailBudget), and the incoming error amplified by the activation's
+// (TailBudget), the derived bound of the shared-exp erf/φ terms
+// (ErfBudget), and the incoming error amplified by the activation's
 // moment-map sensitivities (lip = max |slope| of f).
 func actInject(dMu, dVar, scale, width float64, f *piecewise.Func) (float64, float64) {
 	sqrt2OverPi := math.Sqrt(2 / math.Pi)
 	lip := f.MaxAbsSlope()
 	tailMu, tailVar := TailBudget(f, scale, width)
+	erfMu, erfVar := ErfBudget(f, scale, width)
 	dSig := math.Sqrt(dVar)
-	return condEps*scale + tailMu + lip*dMu + lip*sqrt2OverPi*dSig,
-		condEps*scale*scale + tailVar + 2*lip*width*dMu + 2*lip*width*sqrt2OverPi*dSig
+	return condEps*scale + tailMu + erfMu + lip*dMu + lip*sqrt2OverPi*dSig,
+		condEps*scale*scale + tailVar + erfVar + 2*lip*width*dMu + 2*lip*width*sqrt2OverPi*dSig
 }
 
 // actWidth returns the output-range bound W entering the variance

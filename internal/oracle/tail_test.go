@@ -14,23 +14,40 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/stats"
 )
 
-// untruncatedBoundary is the boundary without the tail cutoff: the erf and
-// density terms at every finite z.
+// untruncatedBoundary is the boundary without the tail cutoff: the kernels'
+// own shared-exp erf and density terms at every finite z, so inside the
+// window it equals stats.BoundaryZ bit for bit and only the cutoff differs.
 func untruncatedBoundary(z float64) stats.Boundary {
 	if math.IsInf(z, 0) {
 		return stats.Boundary{Erf: math.Copysign(1, z)}
 	}
-	phi := 0.3989422804014327 * math.Exp(-0.5*z*z)
-	return stats.Boundary{Erf: math.Erf(z / math.Sqrt2), Phi: phi, ZPhi: z * phi}
+	e, q := stats.GaussTermsAt(z)
+	return stats.BoundaryFrom(z, e, q)
+}
+
+// bigBoundary is a Boundary held in 256-bit arithmetic.
+type bigBoundary struct{ erf, phi, zphi *big.Float }
+
+const bigPrec = 256
+
+func bigF(x float64) *big.Float { return new(big.Float).SetPrec(bigPrec).SetFloat64(x) }
+
+// toBig converts float64 boundary terms exactly.
+func toBig(bs []stats.Boundary) []bigBoundary {
+	out := make([]bigBoundary, len(bs))
+	for i, b := range bs {
+		out[i] = bigBoundary{bigF(b.Erf), bigF(b.Phi), bigF(b.ZPhi)}
+	}
+	return out
 }
 
 // bigAssembly assembles the PWL moments of N(mu, sigma²) from the given
 // per-knot boundary terms in 256-bit arithmetic, with the same clamps as
 // stats.MomentsBetween and ActKernel.Moments, so two boundary sets can be
 // compared with no float64 rounding in between.
-func bigAssembly(f *piecewise.Func, bs []stats.Boundary, mu, sigma float64) (mean, variance *big.Float) {
-	const prec = 256
-	nf := func(x float64) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(x) }
+func bigAssembly(f *piecewise.Func, bs []bigBoundary, mu, sigma float64) (mean, variance *big.Float) {
+	const prec = bigPrec
+	nf := bigF
 	zero := nf(0)
 	clamp := func(x *big.Float) *big.Float {
 		if x.Sign() < 0 {
@@ -48,11 +65,11 @@ func bigAssembly(f *piecewise.Func, bs []stats.Boundary, mu, sigma float64) (mea
 		p := f.Piece(i)
 		lo, hi := bs[i], bs[i+1]
 		a[i] = new(big.Float).Add(new(big.Float).Mul(nf(p.K), nf(mu)), nf(p.C))
-		d := new(big.Float).Sub(nf(hi.Erf), nf(lo.Erf))
+		d := new(big.Float).Sub(hi.erf, lo.erf)
 		D[i] = clamp(d.Mul(d, nf(0.5)))
-		M[i] = new(big.Float).Mul(bSigma, new(big.Float).Sub(nf(lo.Phi), nf(hi.Phi)))
-		v := new(big.Float).Add(D[i], nf(lo.ZPhi))
-		v.Sub(v, nf(hi.ZPhi))
+		M[i] = new(big.Float).Mul(bSigma, new(big.Float).Sub(lo.phi, hi.phi))
+		v := new(big.Float).Add(D[i], lo.zphi)
+		v.Sub(v, hi.zphi)
 		V[i] = clamp(v.Mul(v, bSigma2))
 		mean.Add(mean, new(big.Float).Mul(a[i], D[i]))
 		mean.Add(mean, new(big.Float).Mul(nf(p.K), M[i]))
@@ -99,8 +116,8 @@ func TestTailBudgetCoversTruncation(t *testing.T) {
 			return
 		}
 		truncated++
-		cm, cv := bigAssembly(f, cut, mu, sigma)
-		fm, fv := bigAssembly(f, full, mu, sigma)
+		cm, cv := bigAssembly(f, toBig(cut), mu, sigma)
+		fm, fv := bigAssembly(f, toBig(full), mu, sigma)
 		width := f.MaxAbsSlope() * (math.Abs(mu) + 12*sigma)
 		switch act {
 		case nn.ActTanh:

@@ -6,7 +6,6 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
-	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
 
@@ -58,7 +57,6 @@ type prop struct {
 	stacks     []gateStack
 	readout    *tensor.DualPanel
 	bo         []float64
-	nBounds    int
 }
 
 func newProp(kind cellKind, keep float64, wo *tensor.Matrix, bo tensor.Vector, stacks ...[]gate) (*prop, error) {
@@ -80,7 +78,6 @@ func newProp(kind cellKind, keep float64, wo *tensor.Matrix, bo tensor.Vector, s
 			s.bias = append(s.bias, gt.b...)
 			whs[g] = gt.wh
 			wxs = append(wxs, gt.wx)
-			p.nBounds = max(p.nBounds, ak.NumBounds())
 		}
 		s.panel = tensor.PackDual(hstack(whs))
 		p.stacks = append(p.stacks, s)
@@ -112,8 +109,7 @@ type scratch struct {
 	hM, hV, cM, cV []float64      // rows×n state; cM/cV is the LSTM cell state
 	dM, dV         []float64      // rows×n dropped state ĥ (the GRU then writes r⊙ĥ here)
 	gM, gV         []float64      // rows×K gate outputs; stack s starts at rows·xOff
-	bounds         []stats.Boundary
-	pms            []stats.PartialMoments
+	act            core.ActScratch
 }
 
 func (p *prop) newScratch(rows int) *scratch {
@@ -123,8 +119,6 @@ func (p *prop) newScratch(rows int) *scratch {
 		x: tensor.NewMatrix(rows, p.in), xc: tensor.NewMatrix(rows, k),
 		hM: vec(p.n), hV: vec(p.n), cM: vec(p.n), cV: vec(p.n),
 		dM: vec(p.n), dV: vec(p.n), gM: vec(k), gV: vec(k),
-		bounds: make([]stats.Boundary, p.nBounds),
-		pms:    make([]stats.PartialMoments, p.nBounds),
 	}
 }
 
@@ -188,7 +182,6 @@ func (p *prop) step(sc *scratch) {
 	case kindLSTM:
 		s := &p.stacks[0]
 		p.sweep(s, sc.dM, sc.dV, sc.gM, sc.gV, sc)
-		tanh := s.kernels[3] // the candidate's kernel also squashes c
 		for i := range sc.hM {
 			// Row b's gates i, f, o, g start at b·4n + {0, n, 2n, 3n}.
 			// c = f⊙c + i⊙g, then h = o ⊙ tanh(c).
@@ -197,8 +190,16 @@ func (p *prop) step(sc *scratch) {
 			igM, igV := productMoments(sc.gM[g], sc.gV[g], sc.gM[g+3*n], sc.gV[g+3*n])
 			sc.cM[i] = fcM + igM
 			sc.cV[i] = fcV + igV
-			tcM, tcV := tanh.Moments(sc.cM[i], sc.cV[i], sc.bounds, sc.pms)
-			sc.hM[i], sc.hV[i] = productMoments(sc.gM[g+2*n], sc.gV[g+2*n], tcM, tcV)
+		}
+		// tanh(c) as one panel, in the dropped-state buffers the sweep has
+		// finished with; the candidate's kernel also squashes c.
+		tcM, tcV := sc.dM, sc.dV
+		copy(tcM, sc.cM)
+		copy(tcV, sc.cV)
+		s.kernels[3].MomentsPanel(tcM, tcV, &sc.act)
+		for i := range sc.hM {
+			g := i + 3*(i/n)*n
+			sc.hM[i], sc.hV[i] = productMoments(sc.gM[g+2*n], sc.gV[g+2*n], tcM[i], tcV[i])
 		}
 	}
 }
@@ -229,21 +230,24 @@ func (p *prop) drop(sc *scratch) {
 
 // sweep runs stack s on the rows×n input moments: one dual-panel product for
 // every gate's recurrent mean and variance, then per element the input
-// contribution plus the recurrent term plus the bias, the variance clamp for
-// floating-point cancellation, and the gate's activation moments, into the
-// rows × k·n outM/outV.
+// contribution plus the recurrent term plus the bias and the variance clamp
+// for floating-point cancellation, and each row's gate blocks — n
+// contiguous elements on one kernel — through that gate's MomentsPanel,
+// into the rows × k·n outM/outV.
 func (p *prop) sweep(s *gateStack, inM, inV, outM, outV []float64, sc *scratch) {
-	kn := s.panel.Out
+	kn, n := s.panel.Out, p.n
 	tensor.DualMulInto(s.panel, inM, inV, outM, outV, sc.x.Rows)
 	for b := 0; b < sc.x.Rows; b++ {
 		x := sc.xc.Row(b)[s.xOff : s.xOff+kn]
 		om, ov := outM[b*kn:(b+1)*kn], outV[b*kn:(b+1)*kn]
 		for j := range om {
-			v := ov[j]
-			if v < 0 {
-				v = 0
+			om[j] = x[j] + om[j] + s.bias[j]
+			if ov[j] < 0 {
+				ov[j] = 0
 			}
-			om[j], ov[j] = s.kernels[j/p.n].Moments(x[j]+om[j]+s.bias[j], v, sc.bounds, sc.pms)
+		}
+		for g, ak := range s.kernels {
+			ak.MomentsPanel(om[g*n:(g+1)*n], ov[g*n:(g+1)*n], &sc.act)
 		}
 	}
 }

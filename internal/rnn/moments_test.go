@@ -229,8 +229,12 @@ func goldenRows(t *testing.T) map[string]core.GaussianVec {
 // move onto the shared gate-stack engine. The values were recorded by
 // running goldenRows against the per-cell implementations that preceded it
 // (separate Wx, Wh and W² MulVecInto passes per gate) and printing
-// math.Float64bits of every output. The LSTM has no oracle reference, so
-// this is its only bit-level pin.
+// math.Float64bits of every output. The tanh-Elman and GRU variances were
+// re-recorded, the same way, when the activation step moved to shared-exp
+// erf/φ terms: each moved by 1–3 ulps (at most 4.2e−16 relative), far
+// inside the oracle's conditioning budget; the means, the ReLU Elman and
+// the LSTM kept their bits. The LSTM has no oracle reference, so this is
+// its only bit-level pin.
 func TestGoldenBits(t *testing.T) {
 	want := map[string][2][3]uint64{ // {mean, variance} bits
 		"elman relu keep 0.8": {
@@ -239,7 +243,7 @@ func TestGoldenBits(t *testing.T) {
 		},
 		"elman tanh keep 0.8": {
 			{0xbfd8800d6719f3a3, 0xbfcf811ba5b3ee69, 0x4002109518f23640},
-			{0x3f80eff65c217a6e, 0x3f712aec6e34dd6c, 0x3f7ae9085103fa60},
+			{0x3f80eff65c217a6c, 0x3f712aec6e34dd6d, 0x3f7ae9085103fa5d},
 		},
 		"elman tanh keep 1": {
 			{0xbfd588fb4c1a9a50, 0xbfcf8099bed83392, 0x40024ae9632b8754},
@@ -247,7 +251,7 @@ func TestGoldenBits(t *testing.T) {
 		},
 		"gru keep 0.85": {
 			{0xbfd5524d4971ba62, 0x3fd3418d73bac949, 0xbfe0e3e5d285099e},
-			{0x3f40312ed89d149e, 0x3f3797c780a814b5, 0x3f492cdeafc74105},
+			{0x3f40312ed89d149d, 0x3f3797c780a814b3, 0x3f492cdeafc74102},
 		},
 		"lstm keep 0.85": {
 			{0xbfe0f3636fc71130, 0xbfd521abf1b9825c, 0xbfe7a9f99c1b43a4},

@@ -25,11 +25,12 @@ import "math"
 // −1 and the sum cancels to the last ulp of 1, an absolute error of ~1e−16
 // against a true value of ~7.6e−24 at z = −10). One erfc per unit gives the
 // tail side, ½·erfc(|z|/√2) = Φ(−|z|), with relative accuracy; the bulk side
-// is 1 minus it, which loses nothing because the bulk side is ≥ ½. (For
-// |z|/√2 ≥ 1.25 Go's erfc(−x) is 2 − erfc(x) rounded, so this matches the
-// two-call form ½·erfc(∓z/√2) bit for bit there and is within a few ulps
-// nearer 0.) The mean μΦ + σφ then cancels to an absolute error of order
-// eps·φ(z)·σ — far inside the oracle's condEps·S budget.
+// is 1 minus it, which loses nothing because the bulk side is ≥ ½. The erfc
+// and φ(z) share one exp(−z²/2) (GaussTermsAt): erfc is that exp times a
+// scaled-erfc rational, so Φ(−|z|) keeps a relative error below ErfcRelErr
+// (~15 digits) down to z ≈ −37, where it leaves the normal float64 range.
+// The mean μΦ + σφ then cancels to an absolute error of order eps·φ(z)·σ —
+// far inside the oracle's condEps·S budget.
 //
 // These are the activation-moment backend every ReLU and leaky-ReLU layer is
 // propagated with (core.KernelFor picks it from the activation); the PWL
@@ -40,20 +41,21 @@ import "math"
 // for X ~ N(mu, sigma²). sigma must be positive; callers handle the σ → 0
 // point mass (core.SigmaFloor) before dispatching here.
 func RectifiedMoments(mu, sigma float64) (mean, variance float64) {
-	mean, v, _ := rectified(mu, sigma)
-	return mean, sigma * sigma * v
+	return LeakyRectifiedMoments(mu, sigma, 0)
 }
 
-// rectified returns E[relu(X)], Var[relu(X)]/σ² and Φ(z) at z = mu/sigma,
-// with one erfc for both Φ(z) and Φ(−z).
-func rectified(mu, sigma float64) (mean, v, cdf float64) {
-	z := mu / sigma
-	tail := 0.5 * math.Erfc(math.Abs(z)/sqrt2) // Φ(−|z|), tail-accurate
-	cdf, cdfC := 1-tail, tail
-	if z < 0 {
-		cdf, cdfC = tail, 1-tail
-	}
-	pdf := stdPhi(z) // φ(z)
+// rectifiedFrom returns E[relu(X)], Var[relu(X)]/σ² and Φ(z) at z =
+// mu/sigma from the shared-exp terms (e, q) = GaussTermsAt(z): one erfc for
+// both Φ(z) and Φ(−z).
+func rectifiedFrom(mu, sigma, z, e, q float64) (mean, v, cdf float64) {
+	tail := 0.5 * q // Φ(−|z|), tail-accurate
+	// cdf, cdfC = 1−tail, tail for z ≥ 0 and swapped below, selected on
+	// z's sign bit without a branch (at z = ±0 both orders hold ½, ½).
+	bulk := 1 - tail
+	neg := uint64(int64(math.Float64bits(z)) >> 63)
+	cdf = math.Float64frombits(math.Float64bits(bulk)&^neg | math.Float64bits(tail)&neg)
+	cdfC := math.Float64frombits(math.Float64bits(tail)&^neg | math.Float64bits(bulk)&neg)
+	pdf := invSqrt2Pi * e // φ(z)
 	mean = mu*cdf + sigma*pdf
 	v = cdf + z*z*cdf*cdfC + z*pdf*(cdfC-cdf) - pdf*pdf
 	if v < 0 {
@@ -75,7 +77,20 @@ func rectified(mu, sigma float64) (mean, v, cdf float64) {
 // reduces bit-exactly to RectifiedMoments; alpha = 1 to the identity.
 // sigma must be positive, as for RectifiedMoments.
 func LeakyRectifiedMoments(mu, sigma, alpha float64) (mean, variance float64) {
-	meanR, vR, cdf := rectified(mu, sigma)
+	z := mu / sigma
+	e, q := GaussTermsAt(z)
+	return RectifiedMomentsFrom(mu, sigma, alpha, z, e, q)
+}
+
+// RectifiedMomentsFrom is the panel form of the rectifier moments: z =
+// mu/sigma was standardized by the caller and (e, q) = GaussTermsAt(z) came
+// from a GaussTerms pass. alpha = 0 returns RectifiedMoments(mu, sigma) and
+// any other slope LeakyRectifiedMoments(mu, sigma, alpha), bit for bit.
+func RectifiedMomentsFrom(mu, sigma, alpha, z, e, q float64) (mean, variance float64) {
+	meanR, vR, cdf := rectifiedFrom(mu, sigma, z, e, q)
+	if alpha == 0 {
+		return meanR, sigma * sigma * vR
+	}
 	b := 1 - alpha
 	mean = alpha*mu + b*meanR
 	variance = sigma * sigma * (alpha*alpha + b*b*vR + 2*alpha*b*cdf)

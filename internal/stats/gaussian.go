@@ -19,8 +19,17 @@ func NormPDF(x, mu, sigma float64) float64 {
 }
 
 // NormCDF returns P(X <= x) for X ~ N(mu, sigma²). sigma must be positive.
+// The smaller side is Φ(−|z|) = ½·erfc(|z|/√2) from the shared-exp terms, so
+// it keeps its relative accuracy deep in the lower tail (ErfcRelErr), where
+// ½(1 + erf) would cancel to 0 below z ≈ −8.3.
 func NormCDF(x, mu, sigma float64) float64 {
-	return 0.5 * (1 + math.Erf((x-mu)/(sigma*sqrt2)))
+	z := (x - mu) / sigma
+	_, q := GaussTermsAt(z)
+	tail := 0.5 * q
+	if z < 0 {
+		return tail
+	}
+	return 1 - tail
 }
 
 // NormQuantile returns the q-th quantile of N(mu, sigma²) for q in (0, 1),
@@ -118,14 +127,6 @@ func TruncatedMoments(lo, hi, mu, sigma float64) PartialMoments {
 	return MomentsBetween(BoundaryZ((lo-mu)/sigma), BoundaryZ((hi-mu)/sigma), sigma)
 }
 
-// stdPhi is the standard normal density.
-func stdPhi(z float64) float64 {
-	if math.IsInf(z, 0) {
-		return 0
-	}
-	return invSqrt2Pi * math.Exp(-0.5*z*z)
-}
-
 // Boundary holds the transcendental terms of the truncated-moment
 // decomposition at one knot x, standardized as z = (x − mu)/sigma:
 //
@@ -143,8 +144,8 @@ type Boundary struct {
 
 // TailZ is the shared tail cutoff of the truncated-moment terms: a knot
 // standardized to |z| ≥ TailZ contributes the constant boundary of an
-// infinite knot, {Erf ±1, φ 0, zφ 0}. It is at least 6√2, so math.Erf(z/√2)
-// is already exactly ±1 past it; the dropped density terms are bounded by
+// infinite knot, {Erf ±1, φ 0, zφ 0}. It is at least 6√2, so erf(z/√2) is
+// already ±1 to the last bit past it; the dropped density terms are bounded by
 // TailPhiMax and TailZPhiMax. Every moment path (TruncatedMoments,
 // BoundaryAt, and the batched kernels through BoundaryZ) truncates at the
 // same place, which keeps them bit-identical to one another.
@@ -161,8 +162,10 @@ const (
 
 // BoundaryZ computes the boundary terms at a knot already standardized to
 // z = (x − mu)/sigma. For |z| ≥ TailZ (including ±Inf) it returns the
-// constant tail boundary; NaN fails both comparisons and still reaches
-// math.Erf and math.Exp, so it propagates.
+// constant tail boundary; NaN fails both comparisons and still reaches the
+// shared-exp terms, so it propagates. Inside the window φ and erf come from
+// one exp (BoundaryFrom), with the erf's absolute error at most ErfAbsErr and
+// φ's relative error at most PhiRelErr.
 func BoundaryZ(z float64) Boundary {
 	if z >= TailZ {
 		return Boundary{Erf: 1}
@@ -170,8 +173,8 @@ func BoundaryZ(z float64) Boundary {
 	if z <= -TailZ {
 		return Boundary{Erf: -1}
 	}
-	phi := invSqrt2Pi * math.Exp(-0.5*z*z)
-	return Boundary{Erf: math.Erf(z / sqrt2), Phi: phi, ZPhi: z * phi}
+	e, q := GaussTermsAt(z)
+	return BoundaryFrom(z, e, q)
 }
 
 // BoundaryAt computes the boundary terms of N(mu, sigma²) at knot x. The

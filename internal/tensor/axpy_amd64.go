@@ -2,56 +2,18 @@
 
 package tensor
 
-// hasAVX gates the vector axpy kernel behind runtime CPU detection: the
-// AVX instruction set must be present and the OS must have enabled YMM
-// state (OSXSAVE + XCR0). When false, mulBlocked falls back to the pure-Go
-// inner loop. It is a var (not const) so tests can force the scalar path.
-var hasAVX = detectAVX()
+import "github.com/apdeepsense/apdeepsense/internal/cpufeat"
+
+// hasAVX gates the vector axpy kernel behind runtime CPU detection
+// (internal/cpufeat): the AVX instruction set must be present and the OS
+// must have enabled YMM state. When false, mulBlocked falls back to the
+// pure-Go inner loop. It is a var (not const) so tests can force the scalar
+// path.
+var hasAVX = cpufeat.AVX
 
 // hasAVX512 additionally requires AVX-512F and OS support for the opmask
 // and ZMM register state; the 8-wide kernel then replaces the 4-wide one.
-var hasAVX512 = detectAVX512()
-
-func detectAVX() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 1 {
-		return false
-	}
-	_, _, ecx, _ := cpuid(1, 0)
-	const (
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	if ecx&osxsaveBit == 0 || ecx&avxBit == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	// Bits 1 and 2: XMM and YMM register state saved/restored by the OS.
-	return xcr0&0x6 == 0x6
-}
-
-func detectAVX512() bool {
-	if !hasAVX {
-		return false
-	}
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	const avx512fBit = 1 << 16
-	if ebx&avx512fBit == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	// Bits 5–7: opmask, upper-ZMM, and high-16-ZMM state enabled by the OS.
-	return xcr0&0xe0 == 0xe0
-}
-
-// cpuid and xgetbv are implemented in axpy_amd64.s.
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+var hasAVX512 = cpufeat.AVX512
 
 // axpy4AVX is the vector inner kernel of mulBlocked, implemented in
 // axpy_amd64.s: d_r[j] += x_r * w[j] for r in 0..3 and j in 0..n-1. The

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate, also reachable as `make check`:
-# vet, build, vet and test the benchmark module (perfbench/ is its own Go
+# vet (also for GOARCH=arm64, so the pure-Go fallbacks of the amd64 kernels
+# compile), build, vet and test the benchmark module (perfbench/ is its own Go
 # module, so `go build ./...` never compiles it), race-test the numeric hot paths AND the observability/serving
 # path (the metrics registry, hooks, the request coalescer, and stream gating
 # are explicitly concurrent), run the oracle-backed differential harness, give
@@ -21,6 +22,9 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== GOARCH=arm64 go vet ./... (type-checks the non-amd64 kernel fallbacks)"
+GOARCH=arm64 go vet ./...
 
 echo "== go build ./..."
 go build ./...
@@ -60,6 +64,7 @@ go test -run NONE -fuzz 'FuzzCompiledVsInterpreted' -fuzztime 10s ./internal/pro
 go test -run NONE -fuzz 'FuzzExactVsOracle' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 10s ./internal/proptest
 go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 10s ./internal/core
+go test -run NONE -fuzz 'FuzzActPanel' -fuzztime 10s ./internal/stats
 go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 10s ./internal/nn
 
 smokedir=$(mktemp -d)
