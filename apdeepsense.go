@@ -99,29 +99,18 @@ func NewWithObsVar(net *Network, opts Options, obsVar float64, extra ...Propagat
 }
 
 // NewMCDrop builds the MCDrop-k sampling baseline over the same network.
-// Trailing options (e.g. WithMCDropWorkers) configure the sampler fan-out.
-func NewMCDrop(net *Network, k int, obsVar float64, seed int64, opts ...MCDropOption) (*mcdrop.Estimator, error) {
-	return mcdrop.New(net, k, obsVar, seed, opts...)
+// Its k passes run as masked row tiles on one seeded mask stream, so the
+// estimate depends on the seed and never on the host's core count.
+func NewMCDrop(net *Network, k int, obsVar float64, seed int64) (*mcdrop.Estimator, error) {
+	return mcdrop.New(net, k, obsVar, seed)
 }
 
-// Parallelism options.
-type (
-	// PropagatorOption configures optional Propagator behavior.
-	PropagatorOption = core.Option
-	// MCDropOption configures optional MCDrop sampler behavior.
-	MCDropOption = mcdrop.Option
-)
+// PropagatorOption configures optional Propagator behavior.
+type PropagatorOption = core.Option
 
-// Worker-bound options for the two estimators.
-var (
-	// WithWorkers bounds the batched-propagation fan-out (default GOMAXPROCS;
-	// 1 forces the single-threaded path).
-	WithWorkers = core.WithWorkers
-	// WithMCDropWorkers bounds how many goroutines MCDrop's Predict fans its
-	// k passes across (default GOMAXPROCS; 1 restores the sequential
-	// single-stream sampler exactly).
-	WithMCDropWorkers = mcdrop.WithWorkers
-)
+// WithWorkers bounds the batched-propagation fan-out (default GOMAXPROCS;
+// 1 forces the single-threaded path).
+var WithWorkers = core.WithWorkers
 
 // Estimator internals exposed for serving-path integration.
 type (

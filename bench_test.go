@@ -25,6 +25,7 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/piecewise"
 	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
+	"github.com/apdeepsense/apdeepsense/internal/train"
 )
 
 // sharedRunner trains quick-scale models once per benchmark process.
@@ -194,6 +195,45 @@ func BenchmarkMCDrop10(b *testing.B) { benchmarkMCDrop(b, 10) }
 // BenchmarkMCDrop50 is MCDrop with 50 samples at paper scale — the
 // comparison point of the headline 88.9%/90.0% savings claim.
 func BenchmarkMCDrop50(b *testing.B) { benchmarkMCDrop(b, 50) }
+
+// fitEpochSamples is the training-set size of one BenchmarkFitEpoch op: 16
+// minibatches of 64.
+const fitEpochSamples = 1024
+
+func benchmarkFitEpoch(b *testing.B, act nn.Activation) {
+	net, err := nn.New(nn.Config{
+		InputDim: 5, Hidden: []int{128, 128, 128, 128}, OutputDim: 1,
+		Activation: act, OutputActivation: nn.ActIdentity,
+		KeepProb: 0.9, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	data := make([]train.Sample, fitEpochSamples)
+	for i := range data {
+		x := make(tensor.Vector, 5)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		data[i] = train.Sample{X: x, Y: tensor.Vector{x[0] - x[1]*x[2]}}
+	}
+	cfg := train.Config{Epochs: 1, BatchSize: 64, Seed: 1, Loss: train.MSE{}, Optimizer: train.NewAdam(1e-3)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := train.Fit(net, data, nil, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitEpochReLU is one training epoch (1024 samples, batch 64) of
+// the default-scale 5-128×4-1 ReLU dropout network: the reference models'
+// training cost.
+func BenchmarkFitEpochReLU(b *testing.B) { benchmarkFitEpoch(b, nn.ActReLU) }
+
+// BenchmarkFitEpochTanh is BenchmarkFitEpochReLU with tanh hidden units.
+func BenchmarkFitEpochTanh(b *testing.B) { benchmarkFitEpoch(b, nn.ActTanh) }
 
 // BenchmarkTruncatedMoments is the per-piece kernel of the activation
 // moment propagation (eqs. 23–25).

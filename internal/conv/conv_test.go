@@ -342,21 +342,12 @@ func TestConvGradientCheck(t *testing.T) {
 	s := Sample{X: x, Y: tensor.Vector{0.3, -0.8}}
 	loss := train.MSE{}
 
-	cg := make([]convGrads, len(net.convs))
-	for i, c := range net.convs {
-		cg[i] = convGrads{w: make([]float64, len(c.W)), b: make([]float64, len(c.B))}
-	}
-	headLayers := net.head.Layers()
-	hgW := make([]*tensor.Matrix, len(headLayers))
-	hgB := make([]tensor.Vector, len(headLayers))
-	for i, l := range headLayers {
-		hgW[i] = tensor.NewMatrix(l.W.Rows, l.W.Cols)
-		hgB[i] = tensor.NewVector(len(l.B))
-	}
-	lossGrad := tensor.NewVector(2)
-	if _, err := net.forwardBackward(s, loss, lossGrad, cg, hgW, hgB, rng); err != nil {
+	tr := newTrainer(net, 1)
+	if _, err := tr.batchGrads([]Sample{s}, []int{0}, loss, rng, 0); err != nil {
 		t.Fatal(err)
 	}
+	cg, hgW := tr.cg, tr.hgW
+	headLayers := net.head.Layers()
 
 	lossAt := func() float64 {
 		out, err := net.Forward(s.X)

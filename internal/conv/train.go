@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 	"github.com/apdeepsense/apdeepsense/internal/train"
 )
@@ -42,17 +43,46 @@ type convGrads struct {
 	b []float64
 }
 
-// trace records one stochastic forward pass for backprop.
+// trace records one sample's stochastic conv-stack forward for backprop.
 type trace struct {
 	inputs []*Seq      // per conv layer: the layer's input sequence
 	pres   []*Seq      // per conv layer: pre-activations
 	masks  [][]float64 // per conv layer: channel masks (0/1)
-	pooled tensor.Vector
-	// dense head intermediates
-	headMasked [][]float64
-	headMask   [][]bool
-	headPre    [][]float64
-	headOut    tensor.Vector
+}
+
+// trainer holds Train's scratch: the dense head's shared batched pass and
+// the gradients of one minibatch.
+type trainer struct {
+	n      *Net
+	head   *nn.Pass
+	dOut   *tensor.Matrix // batch×head output dLoss/dOutput
+	gIn    *tensor.Matrix // batch×pooled dLoss/dPooled
+	traces []trace
+	cg     []convGrads
+	hgW    []*tensor.Matrix
+	hgB    []tensor.Vector
+}
+
+func newTrainer(n *Net, batch int) *trainer {
+	headLayers := n.head.Layers()
+	tr := &trainer{
+		n:      n,
+		head:   n.head.NewPass(batch),
+		dOut:   tensor.NewMatrix(batch, n.head.OutputDim()),
+		gIn:    tensor.NewMatrix(batch, n.head.InputDim()),
+		traces: make([]trace, batch),
+		cg:     make([]convGrads, len(n.convs)),
+		hgW:    make([]*tensor.Matrix, len(headLayers)),
+		hgB:    make([]tensor.Vector, len(headLayers)),
+	}
+	for i, c := range n.convs {
+		tr.cg[i] = convGrads{w: make([]float64, len(c.W)), b: make([]float64, len(c.B))}
+	}
+	for i, l := range headLayers {
+		tr.hgW[i] = tensor.NewMatrix(l.W.Rows, l.W.Cols)
+		tr.hgB[i] = tensor.NewVector(len(l.B))
+	}
+	return tr
 }
 
 // Train fits the hybrid network in place with plain minibatch SGD, sampling
@@ -71,19 +101,8 @@ func Train(n *Net, data []Sample, cfg TrainConfig) error {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := rng.Perm(len(data))
-
+	tr := newTrainer(n, cfg.BatchSize)
 	headLayers := n.head.Layers()
-	cg := make([]convGrads, len(n.convs))
-	for i, c := range n.convs {
-		cg[i] = convGrads{w: make([]float64, len(c.W)), b: make([]float64, len(c.B))}
-	}
-	hgW := make([]*tensor.Matrix, len(headLayers))
-	hgB := make([]tensor.Vector, len(headLayers))
-	for i, l := range headLayers {
-		hgW[i] = tensor.NewMatrix(l.W.Rows, l.W.Cols)
-		hgB[i] = tensor.NewVector(len(l.B))
-	}
-	lossGrad := tensor.NewVector(n.head.OutputDim())
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -93,36 +112,25 @@ func Train(n *Net, data []Sample, cfg TrainConfig) error {
 			if end > len(perm) {
 				end = len(perm)
 			}
-			for i := range cg {
-				zero(cg[i].w)
-				zero(cg[i].b)
-			}
-			for i := range hgW {
-				hgW[i].Fill(0)
-				hgB[i].Fill(0)
-			}
-			for _, idx := range perm[start:end] {
-				lv, err := n.forwardBackward(data[idx], cfg.Loss, lossGrad, cg, hgW, hgB, rng)
-				if err != nil {
-					return fmt.Errorf("conv: sample %d: %w", idx, err)
-				}
-				epochLoss += lv
+			var err error
+			if epochLoss, err = tr.batchGrads(data, perm[start:end], cfg.Loss, rng, epochLoss); err != nil {
+				return err
 			}
 			scale := cfg.LearningRate / float64(end-start)
 			for i, c := range n.convs {
 				for j := range c.W {
-					c.W[j] -= scale * cg[i].w[j]
+					c.W[j] -= scale * tr.cg[i].w[j]
 				}
 				for j := range c.B {
-					c.B[j] -= scale * cg[i].b[j]
+					c.B[j] -= scale * tr.cg[i].b[j]
 				}
 			}
 			for i, l := range headLayers {
 				for j := range l.W.Data {
-					l.W.Data[j] -= scale * hgW[i].Data[j]
+					l.W.Data[j] -= scale * tr.hgW[i].Data[j]
 				}
 				for j := range l.B {
-					l.B[j] -= scale * hgB[i][j]
+					l.B[j] -= scale * tr.hgB[i][j]
 				}
 			}
 		}
@@ -139,18 +147,52 @@ func zero(xs []float64) {
 	}
 }
 
-// forwardBackward accumulates one example's gradients.
-func (n *Net) forwardBackward(s Sample, loss train.Loss, lossGrad tensor.Vector,
-	cg []convGrads, hgW []*tensor.Matrix, hgB []tensor.Vector, rng *rand.Rand) (float64, error) {
+// batchGrads computes one minibatch's gradients, summed over its samples,
+// into tr.cg/hgW/hgB and returns lossSum plus the batch's sample losses,
+// added one by one. Each sample runs its conv stack on its own, drawing its
+// channel masks and then its head masks; the pooled rows then go through
+// the head as one masked B-row pass, forward and backward, and the conv
+// stacks back-propagate sample by sample in batch order.
+func (tr *trainer) batchGrads(data []Sample, batch []int, loss train.Loss, rng *rand.Rand, lossSum float64) (float64, error) {
+	for i := range tr.cg {
+		zero(tr.cg[i].w)
+		zero(tr.cg[i].b)
+	}
+	for b, idx := range batch {
+		pooled, err := tr.n.convForward(data[idx].X, &tr.traces[b], rng)
+		if err != nil {
+			return 0, fmt.Errorf("conv: sample %d: %w", idx, err)
+		}
+		tr.head.SetRow(b, pooled)
+		tr.head.DrawMasks(b, rng)
+	}
+	out := tr.head.Forward(len(batch), true)
+	dOut := tr.dOut.TopRows(len(batch))
+	for b, idx := range batch {
+		lv, err := loss.Eval(out.Row(b), data[idx].Y, dOut.Row(b))
+		if err != nil {
+			return 0, fmt.Errorf("conv: sample %d: %w", idx, err)
+		}
+		lossSum += lv
+	}
+	gIn := tr.gIn.TopRows(len(batch))
+	tr.head.Backward(dOut, tr.hgW, tr.hgB, gIn)
+	for b := range batch {
+		tr.n.convBackward(&tr.traces[b], gIn.Row(b), tr.cg)
+	}
+	return lossSum, nil
+}
 
-	tr := trace{}
-
-	// ----- Forward: conv stack with sampled channel masks.
-	cur := s.X
+// convForward runs one sample through the conv stack with freshly drawn
+// channel masks, recording the trace for convBackward, and returns the
+// globally average-pooled output.
+func (n *Net) convForward(x *Seq, tr *trace, rng *rand.Rand) (tensor.Vector, error) {
+	*tr = trace{}
+	cur := x
 	for _, c := range n.convs {
 		outSteps, err := c.OutSteps(cur.Steps)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		mask := make([]float64, c.InCh)
 		for ch := range mask {
@@ -181,81 +223,13 @@ func (n *Net) forwardBackward(s Sample, loss train.Loss, lossGrad tensor.Vector,
 		tr.masks = append(tr.masks, mask)
 		cur = out
 	}
-	tr.pooled = GlobalAvgPool(cur)
+	return GlobalAvgPool(cur), nil
+}
 
-	// ----- Forward: dense head with sampled unit masks.
-	headLayers := n.head.Layers()
-	inVec := []float64(tr.pooled)
-	for _, l := range headLayers {
-		masked := make([]float64, len(inVec))
-		keepMask := make([]bool, len(inVec))
-		copy(masked, inVec)
-		for i := range keepMask {
-			keepMask[i] = true
-		}
-		if l.KeepProb < 1 {
-			for i := range masked {
-				if rng.Float64() >= l.KeepProb {
-					masked[i] = 0
-					keepMask[i] = false
-				}
-			}
-		}
-		pre := make([]float64, l.OutDim())
-		l.W.MulVecInto(masked, pre)
-		out := make([]float64, l.OutDim())
-		for j := range pre {
-			pre[j] += l.B[j]
-			out[j] = l.Act.Apply(pre[j])
-		}
-		tr.headMasked = append(tr.headMasked, masked)
-		tr.headMask = append(tr.headMask, keepMask)
-		tr.headPre = append(tr.headPre, pre)
-		inVec = out
-	}
-	tr.headOut = inVec
-
-	lv, err := loss.Eval(tr.headOut, s.Y, lossGrad)
-	if err != nil {
-		return 0, err
-	}
-
-	// ----- Backward: dense head.
-	grad := []float64(lossGrad)
-	for li := len(headLayers) - 1; li >= 0; li-- {
-		l := headLayers[li]
-		delta := make([]float64, l.OutDim())
-		for j := range delta {
-			delta[j] = grad[j] * l.Act.Derivative(tr.headPre[li][j])
-		}
-		gw := hgW[li]
-		for i, xi := range tr.headMasked[li] {
-			if xi == 0 {
-				continue
-			}
-			row := gw.Data[i*gw.Cols : (i+1)*gw.Cols]
-			for j, dj := range delta {
-				row[j] += xi * dj
-			}
-		}
-		for j, dj := range delta {
-			hgB[li][j] += dj
-		}
-		next := make([]float64, l.InDim())
-		for i := range next {
-			if !tr.headMask[li][i] {
-				continue
-			}
-			row := l.W.Data[i*l.W.Cols : (i+1)*l.W.Cols]
-			var sum float64
-			for j, dj := range delta {
-				sum += row[j] * dj
-			}
-			next[i] = sum
-		}
-		grad = next
-	}
-
+// convBackward back-propagates grad, the loss gradient with respect to the
+// pooled vector, through global average pooling and the conv stack of one
+// recorded trace, accumulating the parameter gradients into cg.
+func (n *Net) convBackward(tr *trace, grad tensor.Vector, cg []convGrads) {
 	// ----- Backward: global average pooling.
 	lastOutSteps := tr.pres[len(tr.pres)-1].Steps
 	lastOutCh := tr.pres[len(tr.pres)-1].Channels
@@ -323,5 +297,4 @@ func (n *Net) forwardBackward(s Sample, loss train.Loss, lossGrad tensor.Vector,
 			seqGrad = ig
 		}
 	}
-	return lv, nil
 }

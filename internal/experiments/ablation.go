@@ -183,12 +183,8 @@ func (r *Runner) AblationVarianceBias(task string, probes, passes int) (*report.
 				return nil, err
 			}
 			acc := stats.NewVecWelford(ms.Dropout.OutputDim())
-			for p := 0; p < passes; p++ {
-				y, err := ms.Dropout.ForwardSample(s.X, rng)
-				if err != nil {
-					return nil, err
-				}
-				acc.Add(y)
+			if err := ms.Dropout.Sample(s.X, passes, rng, func(y tensor.Vector) { acc.Add(y) }); err != nil {
+				return nil, err
 			}
 			mcMean := acc.Mean()
 			mcVar := acc.Variance()

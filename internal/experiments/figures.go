@@ -146,14 +146,12 @@ func (r *Runner) figure1() (*Figure, error) {
 		}
 		const unit = 0
 		var w stats.Welford
-		values := make([]float64, passes)
-		for p := 0; p < passes; p++ {
-			y, err := sub.ForwardSample(probe, rng)
-			if err != nil {
-				return nil, fmt.Errorf("figure1: sample: %w", err)
-			}
-			values[p] = y[unit]
+		values := make([]float64, 0, passes)
+		if err := sub.Sample(probe, passes, rng, func(y tensor.Vector) {
+			values = append(values, y[unit])
 			w.Add(y[unit])
+		}); err != nil {
+			return nil, fmt.Errorf("figure1: sample: %w", err)
 		}
 		span := 4 * w.Std()
 		if span == 0 {

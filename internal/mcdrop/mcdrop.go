@@ -4,17 +4,17 @@
 // variance from the k output samples. It is unbiased but costs k full
 // forward passes, which is exactly the expense ApDeepSense removes.
 //
-// Predict fans its k passes across a worker pool by default, so baseline
-// timings in figure/table reproductions reflect what the hardware can
-// actually deliver rather than a single core; WithWorkers(1) restores the
-// sequential single-stream sampler (the historical behavior) exactly.
+// Predict draws the k passes' masks serially from one seeded stream and runs
+// them as masked row tiles of nn.SampleTile rows on the network's shared
+// batched pass (nn.Pass), merging rows in pass order. The estimate is a
+// function of (network, k, obsVar, seed, call sequence) alone: it does not
+// depend on GOMAXPROCS or the host's core count.
 package mcdrop
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
@@ -28,82 +28,42 @@ import (
 var ErrConfig = errors.New("mcdrop: invalid configuration")
 
 // Estimator is the MCDrop-k sampling estimator. It implements
-// core.Estimator. Predictions are serialized on an internal mutex (the
-// sampler streams are stateful across calls), so the estimator is safe for
-// concurrent use; within one Predict the k passes run across the worker
-// pool.
+// core.Estimator. Predictions are serialized on an internal mutex (the mask
+// stream is stateful across calls), so the estimator is safe for concurrent
+// use.
 type Estimator struct {
-	net     *nn.Network
-	k       int
-	obsVar  float64
-	workers int
+	net    *nn.Network
+	k      int
+	obsVar float64
 
-	mu sync.Mutex
-	// rng drives the sequential (workers == 1) sampler and PredictProbs.
-	rng *rand.Rand
-	// streams are the per-worker deterministic RNG streams of the parallel
-	// sampler, derived from the seed with splitmix64 so every worker's mask
-	// sequence is independent and reproducible. stream w samples the passes
-	// of chunk w; moments merge in chunk order, so a given (seed, workers)
-	// pair always produces the same estimate.
-	streams []*rand.Rand
+	mu   sync.Mutex
+	rng  *rand.Rand // the one mask stream
+	pass *nn.Pass   // tile scratch, min(k, nn.SampleTile) rows
 }
 
-var _ core.Estimator = (*Estimator)(nil)
-
-// Option configures optional estimator behavior.
-type Option func(*Estimator)
-
-// WithWorkers sets how many goroutines Predict fans its k passes across.
-// n <= 0 (the default) selects runtime.GOMAXPROCS(0). n == 1 selects the
-// sequential single-stream sampler, reproducing the pre-parallel results
-// exactly.
-func WithWorkers(n int) Option {
-	return func(e *Estimator) { e.workers = n }
-}
+var (
+	_ core.Estimator           = (*Estimator)(nil)
+	_ core.BatchPredictor      = (*Estimator)(nil)
+	_ core.BatchProbsPredictor = (*Estimator)(nil)
+)
 
 // New builds an MCDrop estimator drawing k stochastic passes per prediction.
 // obsVar (>= 0) is the observation-noise variance added to the sample
 // variance, and seed drives the dropout masks.
-func New(net *nn.Network, k int, obsVar float64, seed int64, opts ...Option) (*Estimator, error) {
+func New(net *nn.Network, k int, obsVar float64, seed int64) (*Estimator, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("k = %d, need >= 2 for a variance estimate: %w", k, ErrConfig)
 	}
 	if obsVar < 0 {
 		return nil, fmt.Errorf("negative obsVar %v: %w", obsVar, ErrConfig)
 	}
-	e := &Estimator{
+	return &Estimator{
 		net:    net,
 		k:      k,
 		obsVar: obsVar,
 		rng:    rand.New(rand.NewSource(seed)),
-	}
-	for _, o := range opts {
-		o(e)
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.GOMAXPROCS(0)
-	}
-	if e.workers > k {
-		e.workers = k
-	}
-	if e.workers > 1 {
-		e.streams = make([]*rand.Rand, e.workers)
-		for w := range e.streams {
-			e.streams[w] = rand.New(rand.NewSource(splitmix64(seed, int64(w))))
-		}
-	}
-	return e, nil
-}
-
-// splitmix64 derives a well-mixed per-worker seed from (seed, idx):
-// sequential seeds fed straight into math/rand sources produce visibly
-// correlated early outputs, so the streams are decorrelated first.
-func splitmix64(seed, idx int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(idx)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+		pass:   net.NewPass(min(k, nn.SampleTile)),
+	}, nil
 }
 
 // Name implements core.Estimator, e.g. "MCDrop-10".
@@ -112,30 +72,14 @@ func (e *Estimator) Name() string { return fmt.Sprintf("MCDrop-%d", e.k) }
 // K returns the sample count.
 func (e *Estimator) K() int { return e.k }
 
-// Workers returns the Predict fan-out width.
-func (e *Estimator) Workers() int { return e.workers }
-
 // Predict implements core.Estimator: the sample mean and unbiased sample
-// variance of k stochastic forward passes (paper §II-B). With small k the
-// variance estimate is noisy and can collapse toward zero, which is what
-// drives MCDrop's poor NLL at k = 3 in Tables I–IV.
-//
-// With workers > 1 the k passes are split into contiguous chunks, one per
-// worker stream; each worker accumulates its chunk's moments locally and the
-// chunks merge in order (stats.VecWelford.Merge), so the estimate is
-// deterministic for a fixed (seed, workers) and statistically identical to
-// the sequential sampler.
+// variance of k stochastic forward passes (paper §II-B), Welford-merged in
+// pass order. With small k the variance estimate is noisy and can collapse
+// toward zero, which is what drives MCDrop's poor NLL at k = 3 in
+// Tables I–IV.
 func (e *Estimator) Predict(x tensor.Vector) (core.GaussianVec, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var acc *stats.VecWelford
-	var err error
-	if e.workers == 1 {
-		acc, err = e.sampleSeq(x)
-	} else {
-		acc, err = e.samplePar(x)
-	}
-	if err != nil {
+	acc := stats.NewVecWelford(e.net.OutputDim())
+	if err := e.sample(x, func(y tensor.Vector) { acc.Add(y) }); err != nil {
 		return core.GaussianVec{}, err
 	}
 	g := core.GaussianVec{Mean: acc.Mean(), Var: acc.SampleVariance()}
@@ -145,87 +89,64 @@ func (e *Estimator) Predict(x tensor.Vector) (core.GaussianVec, error) {
 	return g, nil
 }
 
-// sampleSeq is the historical single-stream sampler. Caller holds e.mu.
-func (e *Estimator) sampleSeq(x tensor.Vector) (*stats.VecWelford, error) {
-	acc := stats.NewVecWelford(e.net.OutputDim())
-	for s := 0; s < e.k; s++ {
-		y, err := e.net.ForwardSample(x, e.rng)
-		if err != nil {
-			return nil, fmt.Errorf("mcdrop: pass %d: %w", s, err)
-		}
-		acc.Add(y)
-	}
-	return acc, nil
-}
-
-// samplePar fans the k passes across the worker streams. Caller holds e.mu,
-// which is what makes reusing the stateful streams safe. Chunks are
-// contiguous and merged in worker order, so the only cross-worker coupling
-// is the final deterministic merge.
-func (e *Estimator) samplePar(x tensor.Vector) (*stats.VecWelford, error) {
-	var (
-		wg    sync.WaitGroup
-		accs  = make([]*stats.VecWelford, e.workers)
-		errs  = make([]error, e.workers)
-		chunk = (e.k + e.workers - 1) / e.workers
-	)
-	for w := 0; w < e.workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > e.k {
-			hi = e.k
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := stats.NewVecWelford(e.net.OutputDim())
-			rng := e.streams[w]
-			for s := lo; s < hi; s++ {
-				y, err := e.net.ForwardSample(x, rng)
-				if err != nil {
-					errs[w] = fmt.Errorf("mcdrop: pass %d: %w", s, err)
-					return
-				}
-				acc.Add(y)
-			}
-			accs[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := stats.NewVecWelford(e.net.OutputDim())
-	for w := range accs {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		acc.Merge(accs[w])
-	}
-	return acc, nil
-}
-
 // PredictProbs implements core.Estimator: the mean softmax over k stochastic
 // passes, the standard MCDrop classification estimate.
 func (e *Estimator) PredictProbs(x tensor.Vector) (tensor.Vector, error) {
 	out := tensor.NewVector(e.net.OutputDim())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for s := 0; s < e.k; s++ {
-		y, err := e.net.ForwardSample(x, e.rng)
-		if err != nil {
-			return nil, fmt.Errorf("mcdrop: pass %d: %w", s, err)
+	err := e.sample(x, func(y tensor.Vector) {
+		for i, p := range core.Softmax(y) {
+			out[i] += p
 		}
-		p := core.Softmax(y)
-		for i := range out {
-			out[i] += p[i]
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	inv := 1.0 / float64(e.k)
 	for i := range out {
 		out[i] *= inv
 	}
 	return out, nil
+}
+
+// PredictBatch implements core.BatchPredictor: the inputs run in order on
+// the one mask stream. Without it core.PredictBatch would fan Predict calls
+// over a worker pool, which gains nothing (the calls serialize on the
+// mutex) and hands each input whichever masks its goroutine reaches first,
+// so rows would depend on scheduling and the host's core count.
+func (e *Estimator) PredictBatch(inputs []tensor.Vector) ([]core.GaussianVec, error) {
+	out := make([]core.GaussianVec, len(inputs))
+	for i, x := range inputs {
+		g, err := e.Predict(x)
+		if err != nil {
+			return nil, fmt.Errorf("batch input %d: %w", i, err)
+		}
+		out[i] = g
+	}
+	return out, nil
+}
+
+// PredictProbsBatch implements core.BatchProbsPredictor, in input order for
+// the reason PredictBatch gives.
+func (e *Estimator) PredictProbsBatch(inputs []tensor.Vector) ([]tensor.Vector, error) {
+	out := make([]tensor.Vector, len(inputs))
+	for i, x := range inputs {
+		p, err := e.PredictProbs(x)
+		if err != nil {
+			return nil, fmt.Errorf("batch input %d: %w", i, err)
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
+// sample runs the k passes of x under the mutex.
+func (e *Estimator) sample(x tensor.Vector, yield func(y tensor.Vector)) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.pass.Sample(x, e.k, e.rng, yield); err != nil {
+		return fmt.Errorf("mcdrop: %w", err)
+	}
+	return nil
 }
 
 // Cost implements core.Estimator: k stochastic passes plus the per-sample

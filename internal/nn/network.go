@@ -164,52 +164,28 @@ func (n *Network) OutputDim() int { return n.layers[len(n.layers)-1].OutDim() }
 // Forward runs the deterministic ("weight scaling") inference pass: each
 // layer's input is multiplied by its keep probability instead of a sampled
 // mask, which is the standard dropout test-time approximation of the expected
-// network output.
+// network output. It is the one-row unmasked case of Pass.
 func (n *Network) Forward(x tensor.Vector) (tensor.Vector, error) {
 	if len(x) != n.InputDim() {
 		return nil, fmt.Errorf("forward: input dim %d, want %d: %w", len(x), n.InputDim(), ErrConfig)
 	}
-	cur := x.Clone()
-	for _, l := range n.layers {
-		if l.KeepProb < 1 {
-			for i := range cur {
-				cur[i] *= l.KeepProb
-			}
-		}
-		y := make(tensor.Vector, l.OutDim())
-		l.W.MulVecInto(cur, y)
-		for j := range y {
-			y[j] = l.Act.Apply(y[j] + l.B[j])
-		}
-		cur = y
-	}
-	return cur, nil
+	p := n.NewPass(1)
+	p.SetRow(0, x)
+	return p.Forward(1, false).Row(0), nil
 }
 
 // ForwardSample runs one stochastic pass with freshly sampled Bernoulli
-// dropout masks, the primitive operation of MCDrop (paper §II-B). The rng
-// must not be shared across goroutines.
+// dropout masks, the primitive operation of MCDrop (paper §II-B): the
+// one-row masked case of Pass. The rng must not be shared across
+// goroutines.
 func (n *Network) ForwardSample(x tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
 	if len(x) != n.InputDim() {
 		return nil, fmt.Errorf("forward-sample: input dim %d, want %d: %w", len(x), n.InputDim(), ErrConfig)
 	}
-	cur := x.Clone()
-	for _, l := range n.layers {
-		if l.KeepProb < 1 {
-			for i := range cur {
-				if rng.Float64() >= l.KeepProb {
-					cur[i] = 0
-				}
-			}
-		}
-		y := make(tensor.Vector, l.OutDim())
-		l.W.MulVecInto(cur, y)
-		for j := range y {
-			y[j] = l.Act.Apply(y[j] + l.B[j])
-		}
-		cur = y
-	}
-	return cur, nil
+	p := n.NewPass(1)
+	p.SetRow(0, x)
+	p.DrawMasks(0, rng)
+	return p.Forward(1, true).Row(0), nil
 }
 
 // Clone returns a deep copy of the network (weights, biases, metadata).

@@ -29,10 +29,10 @@ func (m *Matrix) MulInto(n, dst *Matrix) error {
 	return nil
 }
 
-// mulBlocked is the shared serial kernel behind MulInto and MulParallelInto:
-// k-blocked so a tile of n's rows is reused across the whole left-hand panel
-// (the cache win over per-sample gemv), and 4-row register-blocked so each
-// loaded n element feeds four output rows. On amd64 with AVX the inner loop
+// mulBlocked is the kernel behind MulInto: k-blocked so a tile of n's rows
+// is reused across the whole left-hand panel (the cache win over per-sample
+// gemv), and 4-row register-blocked so each loaded n element feeds four
+// output rows. On amd64 with AVX the inner loop
 // dispatches to the axpy4 vector kernel, which performs the identical
 // sequence of separately rounded multiplies and adds 4 lanes at a time. Per
 // output element the k-order is ascending, matching MulVecInto.

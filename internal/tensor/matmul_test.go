@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -41,33 +40,6 @@ func TestMulIntoMatchesMulVecRowwise(t *testing.T) {
 	}
 }
 
-// TestMulParallelIntoMatchesSerial checks the row-parallel variant against
-// the serial kernel under a forced multi-worker configuration, including
-// chunk sizes that are not multiples of 4.
-func TestMulParallelIntoMatchesSerial(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	rng := rand.New(rand.NewSource(13))
-	for _, rows := range []int{2, 5, 64, 66, 131} {
-		a := NewMatrix(rows, 96)
-		b := NewMatrix(96, 80)
-		a.RandomNormal(rng, 0, 1)
-		b.RandomNormal(rng, 0, 1)
-		want := NewMatrix(rows, 80)
-		if err := a.MulInto(b, want); err != nil {
-			t.Fatal(err)
-		}
-		got := NewMatrix(rows, 80)
-		if err := a.MulParallelInto(b, got); err != nil {
-			t.Fatal(err)
-		}
-		if !want.Equal(got, 0) {
-			t.Errorf("rows=%d: parallel result differs from serial", rows)
-		}
-	}
-}
-
 func TestMulIntoShapeErrors(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(4, 5) // inner mismatch
@@ -77,12 +49,6 @@ func TestMulIntoShapeErrors(t *testing.T) {
 	c := NewMatrix(3, 5)
 	if err := a.MulInto(c, NewMatrix(2, 4)); err == nil {
 		t.Error("bad dst shape accepted")
-	}
-	if err := a.MulParallelInto(b, NewMatrix(2, 5)); err == nil {
-		t.Error("parallel inner mismatch accepted")
-	}
-	if err := a.MulParallelInto(c, NewMatrix(3, 5)); err == nil {
-		t.Error("parallel bad dst shape accepted")
 	}
 }
 

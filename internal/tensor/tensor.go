@@ -243,6 +243,11 @@ func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 // Row returns row i as a vector sharing the matrix's backing storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
+// TopRows returns the first n rows of m as a matrix sharing m's storage.
+func (m *Matrix) TopRows(n int) *Matrix {
+	return &Matrix{Rows: n, Cols: m.Cols, Data: m.Data[:n*m.Cols]}
+}
+
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) Vector {
 	out := make(Vector, m.Rows)

@@ -233,32 +233,6 @@ func TestMatMul(t *testing.T) {
 	}
 }
 
-func TestMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, size := range []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 2}, {64, 64, 64}, {111, 37, 53},
-	} {
-		a := NewMatrix(size.m, size.k)
-		b := NewMatrix(size.k, size.n)
-		a.RandomNormal(rng, 0, 1)
-		b.RandomNormal(rng, 0, 1)
-		serial, err := a.Mul(b)
-		if err != nil {
-			t.Fatalf("Mul: %v", err)
-		}
-		par, err := a.MulParallel(b)
-		if err != nil {
-			t.Fatalf("MulParallel: %v", err)
-		}
-		if !serial.Equal(par, 1e-9) {
-			t.Errorf("size %+v: parallel and serial matmul disagree", size)
-		}
-	}
-	if _, err := NewMatrix(2, 3).MulParallel(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("MulParallel shape err = %v, want ErrShape", err)
-	}
-}
-
 func TestOuterAddInPlace(t *testing.T) {
 	m := NewMatrix(2, 3)
 	if err := m.OuterAddInPlace(Vector{1, 2}, Vector{1, 0, -1}); err != nil {
@@ -402,5 +376,49 @@ func TestPropertyTransposeDuality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestVectorFillScaleApply(t *testing.T) {
+	v := NewVector(3)
+	if len(v) != 3 || v[0] != 0 {
+		t.Fatalf("NewVector = %v", v)
+	}
+	v.Fill(2)
+	if v[2] != 2 {
+		t.Errorf("Fill: %v", v)
+	}
+	s := v.Scale(1.5)
+	if s[0] != 3 || v[0] != 2 {
+		t.Errorf("Scale = %v (orig %v)", s, v)
+	}
+	// Vector Equal rejects length mismatch.
+	if v.Equal(Vector{2, 2}, 0) {
+		t.Error("Equal accepted length mismatch")
+	}
+}
+
+func TestMatrixFillApplyEqual(t *testing.T) {
+	m := NewMatrix(2, 2)
+	m.Fill(3)
+	if m.At(1, 1) != 3 {
+		t.Errorf("Fill: %v", m.Data)
+	}
+	sq := m.Apply(func(x float64) float64 { return x * x })
+	if sq.At(0, 0) != 9 || m.At(0, 0) != 3 {
+		t.Error("Apply mutated or miscomputed")
+	}
+	if m.Equal(NewMatrix(3, 2), 0) {
+		t.Error("Equal accepted shape mismatch")
+	}
+}
+
+func TestVectorAddInPlace(t *testing.T) {
+	v := Vector{1, 2}
+	if err := v.AddInPlace(Vector{10, 20}); err != nil {
+		t.Fatal(err)
+	}
+	if v[1] != 22 {
+		t.Errorf("AddInPlace: %v", v)
 	}
 }

@@ -64,132 +64,51 @@ func (c *Config) validate(nTrain int) error {
 	return nil
 }
 
-// workspace holds per-network scratch buffers reused across samples.
+// workspace is Fit's per-network scratch: the shared batched pass, the
+// loss gradient rows, and the per-layer gradients of one minibatch.
 type workspace struct {
-	masked [][]float64 // per layer: input after dropout mask
-	mask   [][]bool    // per layer: dropout mask (true = kept)
-	pre    [][]float64 // per layer: pre-activation y
-	act    [][]float64 // per layer: post-activation output
-	delta  [][]float64 // per layer: dLoss/dPre
-	gradW  []*tensor.Matrix
-	gradB  []tensor.Vector
-	lossG  tensor.Vector
+	pass  *nn.Pass
+	lossG *tensor.Matrix // batch×OutputDim dLoss/dOutput
+	gradW []*tensor.Matrix
+	gradB []tensor.Vector
 }
 
-func newWorkspace(net *nn.Network) *workspace {
+func newWorkspace(net *nn.Network, batch int) *workspace {
 	layers := net.Layers()
 	ws := &workspace{
-		masked: make([][]float64, len(layers)),
-		mask:   make([][]bool, len(layers)),
-		pre:    make([][]float64, len(layers)),
-		act:    make([][]float64, len(layers)),
-		delta:  make([][]float64, len(layers)),
-		gradW:  make([]*tensor.Matrix, len(layers)),
-		gradB:  make([]tensor.Vector, len(layers)),
-		lossG:  tensor.NewVector(net.OutputDim()),
+		pass:  net.NewPass(batch),
+		lossG: tensor.NewMatrix(batch, net.OutputDim()),
+		gradW: make([]*tensor.Matrix, len(layers)),
+		gradB: make([]tensor.Vector, len(layers)),
 	}
 	for i, l := range layers {
-		ws.masked[i] = make([]float64, l.InDim())
-		ws.mask[i] = make([]bool, l.InDim())
-		ws.pre[i] = make([]float64, l.OutDim())
-		ws.act[i] = make([]float64, l.OutDim())
-		ws.delta[i] = make([]float64, l.OutDim())
 		ws.gradW[i] = tensor.NewMatrix(l.W.Rows, l.W.Cols)
 		ws.gradB[i] = tensor.NewVector(len(l.B))
 	}
 	return ws
 }
 
-func (ws *workspace) zeroGrads() {
-	for i := range ws.gradW {
-		ws.gradW[i].Fill(0)
-		ws.gradB[i].Fill(0)
+// batchGrads runs the samples trainSet[idx] for idx in batch as one masked
+// B-row pass, forward and backward, leaving the gradients summed over the
+// batch in ws.gradW/gradB. It returns lossSum plus the batch's sample
+// losses, added one by one. Each sample's masks are drawn in full before the
+// next sample's, the order a per-sample loop consumes rng in.
+func (ws *workspace) batchGrads(trainSet []Sample, batch []int, loss Loss, rng *rand.Rand, lossSum float64) (float64, error) {
+	for b, idx := range batch {
+		ws.pass.SetRow(b, trainSet[idx].X)
+		ws.pass.DrawMasks(b, rng)
 	}
-}
-
-// forwardBackward accumulates one sample's gradients into the workspace and
-// returns the sample loss.
-func forwardBackward(net *nn.Network, s Sample, loss Loss, ws *workspace, rng *rand.Rand) (float64, error) {
-	layers := net.Layers()
-
-	// Forward with sampled dropout masks, recording intermediates.
-	input := []float64(s.X)
-	for li, l := range layers {
-		masked := ws.masked[li]
-		mask := ws.mask[li]
-		copy(masked, input)
-		for i := range mask {
-			mask[i] = true
+	out := ws.pass.Forward(len(batch), true)
+	dOut := ws.lossG.TopRows(len(batch))
+	for b, idx := range batch {
+		lv, err := loss.Eval(out.Row(b), trainSet[idx].Y, dOut.Row(b))
+		if err != nil {
+			return 0, fmt.Errorf("train: sample %d: %w", idx, err)
 		}
-		if l.KeepProb < 1 {
-			for i := range masked {
-				if rng.Float64() >= l.KeepProb {
-					masked[i] = 0
-					mask[i] = false
-				}
-			}
-		}
-		pre := ws.pre[li]
-		l.W.MulVecInto(masked, pre)
-		out := ws.act[li]
-		for j := range pre {
-			pre[j] += l.B[j]
-			out[j] = l.Act.Apply(pre[j])
-		}
-		input = out
+		lossSum += lv
 	}
-
-	lv, err := loss.Eval(tensor.Vector(input), s.Y, ws.lossG)
-	if err != nil {
-		return 0, err
-	}
-
-	// Backward.
-	grad := []float64(ws.lossG)
-	for li := len(layers) - 1; li >= 0; li-- {
-		l := layers[li]
-		delta := ws.delta[li]
-		pre := ws.pre[li]
-		for j := range delta {
-			delta[j] = grad[j] * l.Act.Derivative(pre[j])
-		}
-		// Weight and bias gradients.
-		masked := ws.masked[li]
-		gw := ws.gradW[li]
-		for i, xi := range masked {
-			if xi == 0 {
-				continue
-			}
-			row := gw.Data[i*gw.Cols : (i+1)*gw.Cols]
-			for j, dj := range delta {
-				row[j] += xi * dj
-			}
-		}
-		gb := ws.gradB[li]
-		for j, dj := range delta {
-			gb[j] += dj
-		}
-		// Input gradient for the next (lower) layer: (W delta) masked.
-		if li > 0 {
-			next := ws.act[li-1] // reuse as scratch: act[li-1] no longer needed
-			w := l.W
-			mask := ws.mask[li]
-			for i := range next {
-				if !mask[i] {
-					next[i] = 0
-					continue
-				}
-				row := w.Data[i*w.Cols : (i+1)*w.Cols]
-				var sAcc float64
-				for j, dj := range delta {
-					sAcc += row[j] * dj
-				}
-				next[i] = sAcc
-			}
-			grad = next
-		}
-	}
-	return lv, nil
+	ws.pass.Backward(dOut, ws.gradW, ws.gradB, nil)
+	return lossSum, nil
 }
 
 // Fit trains net in place on trainSet, optionally early-stopping on valSet,
@@ -210,7 +129,7 @@ func Fit(net *nn.Network, trainSet, valSet []Sample, cfg Config) (*History, erro
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ws := newWorkspace(net)
+	ws := newWorkspace(net, cfg.BatchSize)
 	layers := net.Layers()
 	hist := &History{}
 
@@ -231,13 +150,9 @@ func Fit(net *nn.Network, trainSet, valSet []Sample, cfg Config) (*History, erro
 			if end > len(perm) {
 				end = len(perm)
 			}
-			ws.zeroGrads()
-			for _, idx := range perm[start:end] {
-				lv, err := forwardBackward(net, trainSet[idx], cfg.Loss, ws, rng)
-				if err != nil {
-					return nil, fmt.Errorf("train: sample %d: %w", idx, err)
-				}
-				epochLoss += lv
+			var err error
+			if epochLoss, err = ws.batchGrads(trainSet, perm[start:end], cfg.Loss, rng, epochLoss); err != nil {
+				return nil, err
 			}
 			scale := 1.0 / float64(end-start)
 			applyUpdate(layers, ws, cfg, scale)
@@ -330,23 +245,32 @@ func applyUpdate(layers []*nn.Layer, ws *workspace, cfg Config, scale float64) {
 }
 
 // EvalLoss computes the mean loss of the deterministic (weight-scaled)
-// network over a dataset.
+// network over a dataset, running it as unmasked tiles of nn.SampleTile rows.
 func EvalLoss(net *nn.Network, set []Sample, loss Loss) (float64, error) {
 	if len(set) == 0 {
 		return 0, fmt.Errorf("empty evaluation set: %w", ErrConfig)
 	}
+	for i, s := range set {
+		if len(s.X) != net.InputDim() {
+			return 0, fmt.Errorf("eval sample %d: input dim %d, want %d: %w", i, len(s.X), net.InputDim(), ErrConfig)
+		}
+	}
+	pass := net.NewPass(min(len(set), nn.SampleTile))
 	grad := tensor.NewVector(net.OutputDim())
 	var total float64
-	for i, s := range set {
-		pred, err := net.Forward(s.X)
-		if err != nil {
-			return 0, fmt.Errorf("eval sample %d: %w", i, err)
+	for start := 0; start < len(set); start += nn.SampleTile {
+		tile := set[start:min(start+nn.SampleTile, len(set))]
+		for b, s := range tile {
+			pass.SetRow(b, s.X)
 		}
-		lv, err := loss.Eval(pred, s.Y, grad)
-		if err != nil {
-			return 0, fmt.Errorf("eval sample %d: %w", i, err)
+		out := pass.Forward(len(tile), false)
+		for b, s := range tile {
+			lv, err := loss.Eval(out.Row(b), s.Y, grad)
+			if err != nil {
+				return 0, fmt.Errorf("eval sample %d: %w", start+b, err)
+			}
+			total += lv
 		}
-		total += lv
 	}
 	return total / float64(len(set)), nil
 }

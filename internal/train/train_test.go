@@ -100,10 +100,9 @@ func TestGradientCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := Sample{X: tensor.Vector{0.5, -1, 0.8}, Y: c.target}
-			ws := newWorkspace(net)
-			ws.zeroGrads()
+			ws := newWorkspace(net, 1)
 			rng := rand.New(rand.NewSource(1))
-			if _, err := forwardBackward(net, s, c.loss, ws, rng); err != nil {
+			if _, err := ws.batchGrads([]Sample{s}, []int{0}, c.loss, rng, 0); err != nil {
 				t.Fatal(err)
 			}
 

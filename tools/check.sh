@@ -6,7 +6,8 @@
 # path (the metrics registry, hooks, the request coalescer, and stream gating
 # are explicitly concurrent), run the oracle-backed differential harness, give
 # each fuzz target a short smoke budget (seed corpora always replay; the extra
-# seconds of mutation catch shallow regressions), then smoke the batched
+# seconds of mutation catch shallow regressions), check that the quick-scale
+# paper-claim verdicts are identical at GOMAXPROCS=1 and 2, then smoke the batched
 # propagation benchmark with its metrics snapshot and the serving and
 # registry benchmarks, and finally run the sequence-path (conv/RNN/GRU +
 # dense exact-backend) benchmark, a 2-replica cluster smoke, and a 20k
@@ -69,6 +70,18 @@ go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 10s ./internal/nn
 
 smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
+
+echo "== apds-bench -scale quick -verify: same verdicts at GOMAXPROCS=1 and 2"
+# Training and MCDrop draw every mask from seeded streams in a fixed order,
+# so the paper-claim verdicts and every number behind them must not depend
+# on the host's core count. Only the wall-time line may differ.
+go build -o "$smokedir/apds-bench" ./cmd/apds-bench
+for p in 1 2; do
+	GOMAXPROCS=$p "$smokedir/apds-bench" -scale quick -verify \
+		-models "$smokedir/verify-models-$p" -results "$smokedir/verify-$p" >"$smokedir/verify-$p.log" 2>&1
+	grep -v 'done in' "$smokedir/verify-$p.log" >"$smokedir/verify-$p.txt"
+done
+diff "$smokedir/verify-1.txt" "$smokedir/verify-2.txt"
 
 echo "== apds-bench -batch -obs (smoke)"
 go run ./cmd/apds-bench -batch -obs -results "$smokedir"

@@ -14,6 +14,7 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/datasets"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/stats"
+	"github.com/apdeepsense/apdeepsense/internal/tensor"
 	"github.com/apdeepsense/apdeepsense/internal/train"
 )
 
@@ -59,12 +60,8 @@ func run() error {
 					return err
 				}
 				var w stats.Welford
-				for p := 0; p < 3000; p++ {
-					y, err := net.ForwardSample(s.X, rng)
-					if err != nil {
-						return err
-					}
-					w.Add(y[0])
+				if err := net.Sample(s.X, 3000, rng, func(y tensor.Vector) { w.Add(y[0]) }); err != nil {
+					return err
 				}
 				ratioSum += g.Var[0] / w.Variance()
 				r := s.Y[0] - g.Mean[0]
