@@ -11,6 +11,7 @@ import (
 	"github.com/apdeepsense/apdeepsense/internal/nn"
 	"github.com/apdeepsense/apdeepsense/internal/rnn"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
+	"github.com/apdeepsense/apdeepsense/internal/train"
 )
 
 // benchConvNet builds a small IoT-sized conv net (64×3 input).
@@ -198,4 +199,53 @@ func BenchmarkGRUMomentPropagation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchTrainEpoch times one training epoch: 256 equal-length 20-step
+// sequences at batch 16, full BPTT with one recurrent mask per sequence.
+// Each iteration continues from the previous one's weights.
+func benchTrainEpoch(b *testing.B, fit func([]rnn.Sample, rnn.TrainConfig) error) {
+	rng := rand.New(rand.NewSource(3))
+	data := make([]rnn.Sample, 256)
+	for i := range data {
+		xs := make([]tensor.Vector, 20)
+		for t := range xs {
+			xs[t] = tensor.Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		data[i] = rnn.Sample{Xs: xs, Y: tensor.Vector{xs[0][0], xs[19][1]}}
+	}
+	cfg := rnn.TrainConfig{Epochs: 1, BatchSize: 16, LearningRate: 0.01, ClipNorm: 1, Seed: 4, Loss: train.MSE{}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fit(data, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRNNTrainEpochElman is one epoch of Train on a 4-32-2 tanh cell.
+func BenchmarkRNNTrainEpochElman(b *testing.B) {
+	cell, err := rnn.NewCell(4, 32, 2, nn.ActTanh, 0.9, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchTrainEpoch(b, func(d []rnn.Sample, cfg rnn.TrainConfig) error { return rnn.Train(cell, d, cfg) })
+}
+
+// BenchmarkRNNTrainEpochGRU is one epoch of TrainGRU on a 4-32-2 GRU.
+func BenchmarkRNNTrainEpochGRU(b *testing.B) {
+	g, err := rnn.NewGRU(4, 32, 2, 0.9, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchTrainEpoch(b, func(d []rnn.Sample, cfg rnn.TrainConfig) error { return rnn.TrainGRU(g, d, cfg) })
+}
+
+// BenchmarkRNNTrainEpochLSTM is one epoch of TrainLSTM on a 4-32-2 LSTM.
+func BenchmarkRNNTrainEpochLSTM(b *testing.B) {
+	l, err := rnn.NewLSTM(4, 32, 2, 0.9, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchTrainEpoch(b, func(d []rnn.Sample, cfg rnn.TrainConfig) error { return rnn.TrainLSTM(l, d, cfg) })
 }
