@@ -485,6 +485,11 @@ func TestTrainValidation(t *testing.T) {
 		{Epochs: 1, BatchSize: 5, LearningRate: 0.1, Loss: train.MSE{}},
 		{Epochs: 1, BatchSize: 1, LearningRate: 0, Loss: train.MSE{}},
 		{Epochs: 1, BatchSize: 1, LearningRate: 0.1, Loss: nil},
+		// Non-finite rates: NaN fails every ordered comparison, so a plain
+		// <= 0 test lets it through to write NaN into every weight.
+		{Epochs: 1, BatchSize: 1, LearningRate: math.NaN(), Loss: train.MSE{}},
+		{Epochs: 1, BatchSize: 1, LearningRate: math.Inf(1), Loss: train.MSE{}},
+		{Epochs: 1, BatchSize: 1, LearningRate: math.Inf(-1), Loss: train.MSE{}},
 	}
 	for i, cfg := range bad {
 		if err := Train(net, data, cfg); !errors.Is(err, ErrConfig) {

@@ -2,6 +2,7 @@ package conv
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/apdeepsense/apdeepsense/internal/nn"
@@ -27,7 +28,7 @@ type TrainConfig struct {
 }
 
 func (c TrainConfig) validate(n int) error {
-	if c.Epochs < 1 || c.BatchSize < 1 || c.BatchSize > n || c.LearningRate <= 0 {
+	if c.Epochs < 1 || c.BatchSize < 1 || c.BatchSize > n || !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) {
 		return fmt.Errorf("epochs=%d batch=%d lr=%v over %d samples: %w",
 			c.Epochs, c.BatchSize, c.LearningRate, n, ErrConfig)
 	}

@@ -42,7 +42,7 @@ func NewEstimator(cell *Cell, steps int, obsVar float64) (*Estimator, error) {
 	if cell == nil {
 		return nil, fmt.Errorf("rnn: nil cell: %w", ErrConfig)
 	}
-	return newEstimator("ApDeepSense-RNN", cell.newProp, steps, obsVar)
+	return newEstimator("ApDeepSense-RNN", cell.spec(), steps, obsVar)
 }
 
 // NewGRUEstimator wraps g as an estimator over steps-long sequences, with
@@ -51,17 +51,17 @@ func NewGRUEstimator(g *GRU, steps int, obsVar float64) (*Estimator, error) {
 	if g == nil {
 		return nil, fmt.Errorf("rnn: nil gru: %w", ErrConfig)
 	}
-	return newEstimator("ApDeepSense-GRU", g.newProp, steps, obsVar)
+	return newEstimator("ApDeepSense-GRU", g.spec(), steps, obsVar)
 }
 
-func newEstimator(name string, build func() (*prop, error), steps int, obsVar float64) (*Estimator, error) {
+func newEstimator(name string, s *cellSpec, steps int, obsVar float64) (*Estimator, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("rnn: steps %d: %w", steps, ErrConfig)
 	}
 	if obsVar < 0 {
 		return nil, fmt.Errorf("rnn: negative obsVar %v: %w", obsVar, ErrConfig)
 	}
-	p, err := build()
+	p, err := s.newProp()
 	if err != nil {
 		return nil, err
 	}

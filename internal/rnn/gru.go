@@ -64,82 +64,23 @@ func NewGRU(inDim, hiddenDim, outDim int, keepProb float64, rng *rand.Rand) (*GR
 	return g, nil
 }
 
-// gruStep computes one step given the (already masked) recurrent input.
-// It returns r, u, c, h for reuse by training.
-func (g *GRU) gruStep(x, h, masked tensor.Vector) (r, u, c, hNext tensor.Vector) {
-	n := g.HiddenDim
-	r = make(tensor.Vector, n)
-	u = make(tensor.Vector, n)
-	c = make(tensor.Vector, n)
-	hNext = make(tensor.Vector, n)
-	tmpX := make(tensor.Vector, n)
-	tmpH := make(tensor.Vector, n)
-
-	g.Wxr.MulVecInto(x, tmpX)
-	g.Whr.MulVecInto(masked, tmpH)
-	for j := 0; j < n; j++ {
-		r[j] = nn.ActSigmoid.Apply(tmpX[j] + tmpH[j] + g.Br[j])
-	}
-	g.Wxu.MulVecInto(x, tmpX)
-	g.Whu.MulVecInto(masked, tmpH)
-	for j := 0; j < n; j++ {
-		u[j] = nn.ActSigmoid.Apply(tmpX[j] + tmpH[j] + g.Bu[j])
-	}
-	rm := make(tensor.Vector, n)
-	for j := 0; j < n; j++ {
-		rm[j] = r[j] * masked[j]
-	}
-	g.Wxc.MulVecInto(x, tmpX)
-	g.Whc.MulVecInto(rm, tmpH)
-	for j := 0; j < n; j++ {
-		c[j] = nn.ActTanh.Apply(tmpX[j] + tmpH[j] + g.Bc[j])
-		hNext[j] = u[j]*h[j] + (1-u[j])*c[j]
-	}
-	return r, u, c, hNext
+// spec is the GRU's gate list: the stack {r, u} reading ĥ, then the
+// candidate {c} reading r⊙ĥ.
+func (g *GRU) spec() *cellSpec {
+	return &cellSpec{kind: kindGRU, keep: g.KeepProb, wo: g.Wo, bo: g.Bo, stacks: [][]gate{
+		{{g.Wxr, g.Whr, g.Br, nn.ActSigmoid}, {g.Wxu, g.Whu, g.Bu, nn.ActSigmoid}},
+		{{g.Wxc, g.Whc, g.Bc, nn.ActTanh}},
+	}}
 }
 
 // Forward runs the weight-scaled deterministic pass.
 func (g *GRU) Forward(xs []tensor.Vector) (tensor.Vector, error) {
-	if err := checkSeq(xs, g.InDim); err != nil {
-		return nil, err
-	}
-	h := make(tensor.Vector, g.HiddenDim)
-	masked := make(tensor.Vector, g.HiddenDim)
-	for _, x := range xs {
-		for j := range masked {
-			masked[j] = h[j] * g.KeepProb
-		}
-		_, _, _, h = g.gruStep(x, h, masked)
-	}
-	return readout(g.Wo, g.Bo, h), nil
+	return g.spec().forward(xs, nil)
 }
 
 // ForwardSample runs one stochastic pass with a single per-sequence mask.
 func (g *GRU) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
-	if err := checkSeq(xs, g.InDim); err != nil {
-		return nil, err
-	}
-	mask := make([]float64, g.HiddenDim)
-	for i := range mask {
-		if g.KeepProb >= 1 || rng.Float64() < g.KeepProb {
-			mask[i] = 1
-		}
-	}
-	h := make(tensor.Vector, g.HiddenDim)
-	masked := make(tensor.Vector, g.HiddenDim)
-	for _, x := range xs {
-		for j := range masked {
-			masked[j] = h[j] * mask[j]
-		}
-		_, _, _, h = g.gruStep(x, h, masked)
-	}
-	return readout(g.Wo, g.Bo, h), nil
-}
-
-func (g *GRU) newProp() (*prop, error) {
-	return newProp(kindGRU, g.KeepProb, g.Wo, g.Bo,
-		[]gate{{g.Wxr, g.Whr, g.Br, nn.ActSigmoid}, {g.Wxu, g.Whu, g.Bu, nn.ActSigmoid}},
-		[]gate{{g.Wxc, g.Whc, g.Bc, nn.ActTanh}})
+	return g.spec().forward(xs, rng)
 }
 
 // PropagateMoments runs the closed-form GRU moment pass: dense moments for
@@ -147,7 +88,7 @@ func (g *GRU) newProp() (*prop, error) {
 // product-of-Gaussians moments for the gating multiplications, and
 // independence across the convex combination; then the linear readout.
 func (g *GRU) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
-	p, err := g.newProp()
+	p, err := g.spec().newProp()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}

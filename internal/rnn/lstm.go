@@ -72,100 +72,29 @@ func NewLSTM(inDim, hiddenDim, outDim int, keepProb float64, rng *rand.Rand) (*L
 	return l, nil
 }
 
-// lstmStep advances one step given the masked recurrent input, returning
-// the gate activations, candidate, new cell state, tanh(c), and new hidden
-// state for reuse by BPTT.
-func (l *LSTM) lstmStep(x, masked, cPrev tensor.Vector) (i, f, o, g, c, tc, h tensor.Vector) {
-	n := l.HiddenDim
-	i = make(tensor.Vector, n)
-	f = make(tensor.Vector, n)
-	o = make(tensor.Vector, n)
-	g = make(tensor.Vector, n)
-	c = make(tensor.Vector, n)
-	tc = make(tensor.Vector, n)
-	h = make(tensor.Vector, n)
-	tmpX := make(tensor.Vector, n)
-	tmpH := make(tensor.Vector, n)
-
-	gates := []struct {
-		wx, wh *tensor.Matrix
-		b, out tensor.Vector
-		act    nn.Activation
-	}{
-		{l.Wxi, l.Whi, l.Bi, i, nn.ActSigmoid},
-		{l.Wxf, l.Whf, l.Bf, f, nn.ActSigmoid},
-		{l.Wxo, l.Who, l.Bo, o, nn.ActSigmoid},
-		{l.Wxg, l.Whg, l.Bg, g, nn.ActTanh},
-	}
-	for _, gt := range gates {
-		gt.wx.MulVecInto(x, tmpX)
-		gt.wh.MulVecInto(masked, tmpH)
-		for j := 0; j < n; j++ {
-			gt.out[j] = gt.act.Apply(tmpX[j] + tmpH[j] + gt.b[j])
-		}
-	}
-	for j := 0; j < n; j++ {
-		c[j] = f[j]*cPrev[j] + i[j]*g[j]
-		tc[j] = nn.ActTanh.Apply(c[j])
-		h[j] = o[j] * tc[j]
-	}
-	return i, f, o, g, c, tc, h
+// spec is the LSTM's gate list: one stack {i, f, o, g} reading ĥ.
+func (l *LSTM) spec() *cellSpec {
+	return &cellSpec{kind: kindLSTM, keep: l.KeepProb, wo: l.Wo, bo: l.Bro, stacks: [][]gate{{
+		{l.Wxi, l.Whi, l.Bi, nn.ActSigmoid}, {l.Wxf, l.Whf, l.Bf, nn.ActSigmoid},
+		{l.Wxo, l.Who, l.Bo, nn.ActSigmoid}, {l.Wxg, l.Whg, l.Bg, nn.ActTanh},
+	}}}
 }
 
 // Forward runs the weight-scaled deterministic pass.
 func (l *LSTM) Forward(xs []tensor.Vector) (tensor.Vector, error) {
-	if err := checkSeq(xs, l.InDim); err != nil {
-		return nil, err
-	}
-	n := l.HiddenDim
-	h := make(tensor.Vector, n)
-	c := make(tensor.Vector, n)
-	masked := make(tensor.Vector, n)
-	for _, x := range xs {
-		for j := 0; j < n; j++ {
-			masked[j] = h[j] * l.KeepProb
-		}
-		_, _, _, _, c, _, h = l.lstmStep(x, masked, c)
-	}
-	return readout(l.Wo, l.Bro, h), nil
+	return l.spec().forward(xs, nil)
 }
 
 // ForwardSample runs one stochastic pass with a single per-sequence mask.
 func (l *LSTM) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
-	if err := checkSeq(xs, l.InDim); err != nil {
-		return nil, err
-	}
-	n := l.HiddenDim
-	mask := make([]float64, n)
-	for j := range mask {
-		if l.KeepProb >= 1 || rng.Float64() < l.KeepProb {
-			mask[j] = 1
-		}
-	}
-	h := make(tensor.Vector, n)
-	c := make(tensor.Vector, n)
-	masked := make(tensor.Vector, n)
-	for _, x := range xs {
-		for j := 0; j < n; j++ {
-			masked[j] = h[j] * mask[j]
-		}
-		_, _, _, _, c, _, h = l.lstmStep(x, masked, c)
-	}
-	return readout(l.Wo, l.Bro, h), nil
-}
-
-func (l *LSTM) newProp() (*prop, error) {
-	return newProp(kindLSTM, l.KeepProb, l.Wo, l.Bro, []gate{
-		{l.Wxi, l.Whi, l.Bi, nn.ActSigmoid}, {l.Wxf, l.Whf, l.Bf, nn.ActSigmoid},
-		{l.Wxo, l.Who, l.Bo, nn.ActSigmoid}, {l.Wxg, l.Whg, l.Bg, nn.ActTanh},
-	})
+	return l.spec().forward(xs, rng)
 }
 
 // PropagateMoments runs the closed-form LSTM moment pass: dense moments for
 // the four gate pre-activations, sigmoid/tanh gate moments, and Gaussian
 // product moments for c = f⊙c + i⊙g and h = o⊙tanh(c); then the readout.
 func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
-	p, err := l.newProp()
+	p, err := l.spec().newProp()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}
@@ -176,7 +105,7 @@ func (l *LSTM) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
 // steps-long sequence (see internal/edison), on the same model as the Elman
 // and GRU estimators' Cost.
 func (l *LSTM) Cost(steps int) (edison.Cost, error) {
-	p, err := l.newProp()
+	p, err := l.spec().newProp()
 	if err != nil {
 		return edison.Cost{}, err
 	}

@@ -126,7 +126,7 @@ func TestCellExactDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.newProp()
+		p, err := c.spec().newProp()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestCellKeepOneVariance(t *testing.T) {
 	c.Wx.Data[0] = 0
 	c.Wh.Data[0] = 1
 	c.B[0] = 0
-	p, err := c.newProp()
+	p, err := c.spec().newProp()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,11 @@
 //
 // The package provides single-layer Elman, GRU and LSTM recurrences with a
 // dense readout, deterministic and stochastic forward passes, BPTT training,
-// and the closed-form moment pass. All three cells share one moment engine
-// (moments.go); Elman cells and GRUs serve through one core.Estimator
-// (estimator.go).
+// and the closed-form moment pass. Each cell writes its structure once, as
+// a gate list (its spec method); the moment engine (moments.go), the float
+// step behind Forward, ForwardSample and training, BPTT (pass.go) and the
+// one trainer (train.go) are all built from that list. Elman cells and GRUs
+// serve through one core.Estimator (estimator.go).
 package rnn
 
 import (
@@ -80,67 +82,22 @@ func NewCell(inDim, hiddenDim, outDim int, act nn.Activation, keepProb float64, 
 	return c, nil
 }
 
-// stepDet advances the deterministic (weight-scaled) recurrence one step.
-func (c *Cell) stepDet(x, h tensor.Vector, out tensor.Vector) {
-	c.Wx.MulVecInto(x, out)
-	tmp := make(tensor.Vector, c.HiddenDim)
-	scaled := h
-	if c.KeepProb < 1 {
-		scaled = h.Scale(c.KeepProb)
-	}
-	c.Wh.MulVecInto(scaled, tmp)
-	for j := range out {
-		out[j] = c.Act.Apply(out[j] + tmp[j] + c.B[j])
-	}
+// spec is the cell's gate list: one stack of one gate.
+func (c *Cell) spec() *cellSpec {
+	return &cellSpec{kind: kindElman, keep: c.KeepProb, wo: c.Wo, bo: c.Bo,
+		stacks: [][]gate{{{c.Wx, c.Wh, c.B, c.Act}}}}
 }
 
 // Forward runs the weight-scaled deterministic pass over a sequence of
 // input vectors and returns the readout of the final hidden state.
 func (c *Cell) Forward(xs []tensor.Vector) (tensor.Vector, error) {
-	if err := checkSeq(xs, c.InDim); err != nil {
-		return nil, err
-	}
-	h := make(tensor.Vector, c.HiddenDim)
-	next := make(tensor.Vector, c.HiddenDim)
-	for _, x := range xs {
-		c.stepDet(x, h, next)
-		h, next = next, h
-	}
-	return readout(c.Wo, c.Bo, h), nil
+	return c.spec().forward(xs, nil)
 }
 
 // ForwardSample runs one stochastic pass: a single recurrent mask is drawn
 // and reused at every timestep (variational recurrent dropout).
 func (c *Cell) ForwardSample(xs []tensor.Vector, rng *rand.Rand) (tensor.Vector, error) {
-	if err := checkSeq(xs, c.InDim); err != nil {
-		return nil, err
-	}
-	mask := make([]float64, c.HiddenDim)
-	for i := range mask {
-		if c.KeepProb >= 1 || rng.Float64() < c.KeepProb {
-			mask[i] = 1
-		}
-	}
-	h := make(tensor.Vector, c.HiddenDim)
-	masked := make(tensor.Vector, c.HiddenDim)
-	tmp := make(tensor.Vector, c.HiddenDim)
-	next := make(tensor.Vector, c.HiddenDim)
-	for _, x := range xs {
-		for i := range masked {
-			masked[i] = h[i] * mask[i]
-		}
-		c.Wx.MulVecInto(x, next)
-		c.Wh.MulVecInto(masked, tmp)
-		for j := range next {
-			next[j] = c.Act.Apply(next[j] + tmp[j] + c.B[j])
-		}
-		h, next = next, h
-	}
-	return readout(c.Wo, c.Bo, h), nil
-}
-
-func (c *Cell) newProp() (*prop, error) {
-	return newProp(kindElman, c.KeepProb, c.Wo, c.Bo, []gate{{c.Wx, c.Wh, c.B, c.Act}})
+	return c.spec().forward(xs, rng)
 }
 
 // PropagateMoments runs the closed-form moment pass: the hidden state is a
@@ -153,7 +110,7 @@ func (c *Cell) newProp() (*prop, error) {
 // variance-underestimating approximation of the same nature as the paper's
 // layer-wise independence.
 func (c *Cell) PropagateMoments(xs []tensor.Vector) (core.GaussianVec, error) {
-	p, err := c.newProp()
+	p, err := c.spec().newProp()
 	if err != nil {
 		return core.GaussianVec{}, err
 	}

@@ -2,6 +2,7 @@ package rnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
@@ -29,172 +30,113 @@ type TrainConfig struct {
 }
 
 func (c TrainConfig) validate(n int) error {
-	if c.Epochs < 1 || c.BatchSize < 1 || c.BatchSize > n || c.LearningRate <= 0 {
+	if c.Epochs < 1 || c.BatchSize < 1 || c.BatchSize > n || !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) {
 		return fmt.Errorf("epochs=%d batch=%d lr=%v over %d samples: %w",
 			c.Epochs, c.BatchSize, c.LearningRate, n, ErrConfig)
 	}
 	if c.Loss == nil {
 		return fmt.Errorf("nil loss: %w", ErrConfig)
 	}
-	if c.ClipNorm < 0 {
+	if !(c.ClipNorm >= 0) || math.IsInf(c.ClipNorm, 1) {
 		return fmt.Errorf("clip norm %v: %w", c.ClipNorm, ErrConfig)
 	}
 	return nil
-}
-
-// cellGrads accumulates parameter gradients.
-type cellGrads struct {
-	wx, wh, wo *tensor.Matrix
-	b, bo      tensor.Vector
-}
-
-func newCellGrads(c *Cell) *cellGrads {
-	return &cellGrads{
-		wx: tensor.NewMatrix(c.InDim, c.HiddenDim),
-		wh: tensor.NewMatrix(c.HiddenDim, c.HiddenDim),
-		wo: tensor.NewMatrix(c.HiddenDim, c.OutDim),
-		b:  tensor.NewVector(c.HiddenDim),
-		bo: tensor.NewVector(c.OutDim),
-	}
-}
-
-func (g *cellGrads) zero() {
-	g.wx.Fill(0)
-	g.wh.Fill(0)
-	g.wo.Fill(0)
-	g.b.Fill(0)
-	g.bo.Fill(0)
 }
 
 // Train fits the cell in place with minibatch SGD and full
 // backpropagation-through-time, sampling one recurrent mask per sequence
 // (the variational recurrent dropout training procedure).
 func Train(c *Cell, data []Sample, cfg TrainConfig) error {
+	return c.spec().train("rnn", data, cfg)
+}
+
+// TrainGRU fits the GRU in place with minibatch SGD and full BPTT, one
+// recurrent mask per sequence.
+func TrainGRU(g *GRU, data []Sample, cfg TrainConfig) error {
+	return g.spec().train("gru", data, cfg)
+}
+
+// TrainLSTM fits the LSTM in place with minibatch SGD and full BPTT, one
+// recurrent mask per sequence (variational recurrent dropout training).
+func TrainLSTM(l *LSTM, data []Sample, cfg TrainConfig) error {
+	return l.spec().train("lstm", data, cfg)
+}
+
+// train is the one recurrent trainer. Every sequence and every target is
+// checked (the target against cfg.Loss) before the first update, so a
+// rejected call leaves the weights untouched. Sequences in one minibatch may
+// differ in length.
+func (s *cellSpec) train(name string, data []Sample, cfg TrainConfig) error {
 	if err := cfg.validate(len(data)); err != nil {
 		return err
 	}
-	for i, s := range data {
-		if err := checkSeq(s.Xs, c.InDim); err != nil {
+	maxSteps := 0
+	probe, probeGrad := tensor.NewVector(s.wo.Cols), tensor.NewVector(s.wo.Cols)
+	for i, sm := range data {
+		if err := checkSeq(sm.Xs, s.in()); err != nil {
 			return fmt.Errorf("sample %d: %w", i, err)
 		}
-		if len(s.Y) == 0 {
-			return fmt.Errorf("sample %d: empty target: %w", i, ErrConfig)
+		if _, err := cfg.Loss.Eval(probe, sm.Y, probeGrad); err != nil {
+			return fmt.Errorf("sample %d: target: %w: %w", i, err, ErrConfig)
 		}
+		maxSteps = max(maxSteps, len(sm.Xs))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := rng.Perm(len(data))
-	grads := newCellGrads(c)
-	lossGrad := tensor.NewVector(c.OutDim)
+	g := s.zeros()
+	params, grads := s.params(), g.params()
+	w := s.newBackprop(maxSteps)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var epochLoss float64
 		for start := 0; start < len(perm); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(perm) {
-				end = len(perm)
+			end := min(start+cfg.BatchSize, len(perm))
+			for _, gs := range grads {
+				clear(gs)
 			}
-			grads.zero()
 			for _, idx := range perm[start:end] {
-				lv, err := c.bptt(data[idx], cfg.Loss, lossGrad, grads, rng)
+				lv, err := s.bptt(data[idx], cfg.Loss, g, w, rng)
 				if err != nil {
-					return fmt.Errorf("rnn: sample %d: %w", idx, err)
+					return fmt.Errorf("%s: sample %d: %w", name, idx, err)
 				}
 				epochLoss += lv
 			}
-			scale := 1.0 / float64(end-start)
-			applyClippedStep(c, grads, cfg, scale)
+			applyClippedSGD(params, grads, cfg, 1.0/float64(end-start))
 		}
 		if cfg.Logf != nil {
-			cfg.Logf("rnn epoch %d: train %.5f", epoch, epochLoss/float64(len(perm)))
+			cfg.Logf("%s epoch %d: train %.5f", name, epoch, epochLoss/float64(len(perm)))
 		}
 	}
 	return nil
 }
 
-func applyClippedStep(c *Cell, g *cellGrads, cfg TrainConfig, scale float64) {
-	applyClippedSGD(
-		[][]float64{c.Wx.Data, c.Wh.Data, c.Wo.Data, c.B, c.Bo},
-		[][]float64{g.wx.Data, g.wh.Data, g.wo.Data, g.b, g.bo},
-		cfg, scale)
-}
-
-// bptt runs one stochastic forward pass and accumulates BPTT gradients.
-func (c *Cell) bptt(s Sample, loss train.Loss, lossGrad tensor.Vector, g *cellGrads, rng *rand.Rand) (float64, error) {
-	steps := len(s.Xs)
-	mask := make([]float64, c.HiddenDim)
-	for i := range mask {
-		if c.KeepProb >= 1 || rng.Float64() < c.KeepProb {
-			mask[i] = 1
+// applyClippedSGD scales, clips (global norm), and applies gradients.
+func applyClippedSGD(params, grads [][]float64, cfg TrainConfig, scale float64) {
+	for _, gs := range grads {
+		for i := range gs {
+			gs[i] *= scale
 		}
 	}
-
-	// Forward, storing pre-activations and (masked) previous states.
-	pres := make([]tensor.Vector, steps)
-	hs := make([]tensor.Vector, steps+1)
-	hs[0] = tensor.NewVector(c.HiddenDim)
-	masked := make([]tensor.Vector, steps)
-	tmp := make(tensor.Vector, c.HiddenDim)
-	for t, x := range s.Xs {
-		masked[t] = make(tensor.Vector, c.HiddenDim)
-		for i := range masked[t] {
-			masked[t][i] = hs[t][i] * mask[i]
-		}
-		pre := make(tensor.Vector, c.HiddenDim)
-		c.Wx.MulVecInto(x, pre)
-		c.Wh.MulVecInto(masked[t], tmp)
-		h := make(tensor.Vector, c.HiddenDim)
-		for j := range pre {
-			pre[j] += tmp[j] + c.B[j]
-			h[j] = c.Act.Apply(pre[j])
-		}
-		pres[t] = pre
-		hs[t+1] = h
-	}
-	out := readout(c.Wo, c.Bo, hs[steps])
-
-	lv, err := loss.Eval(out, s.Y, lossGrad)
-	if err != nil {
-		return 0, err
-	}
-
-	// Readout gradients.
-	if err := g.wo.OuterAddInPlace(hs[steps], lossGrad); err != nil {
-		return 0, err
-	}
-	if err := g.bo.AddInPlace(lossGrad); err != nil {
-		return 0, err
-	}
-	dh, err := c.Wo.MulVecT(lossGrad)
-	if err != nil {
-		return 0, err
-	}
-
-	// Through time.
-	for t := steps - 1; t >= 0; t-- {
-		dpre := make(tensor.Vector, c.HiddenDim)
-		for j := range dpre {
-			dpre[j] = dh[j] * c.Act.Derivative(pres[t][j])
-		}
-		if err := g.wx.OuterAddInPlace(s.Xs[t], dpre); err != nil {
-			return 0, err
-		}
-		if err := g.wh.OuterAddInPlace(masked[t], dpre); err != nil {
-			return 0, err
-		}
-		if err := g.b.AddInPlace(dpre); err != nil {
-			return 0, err
-		}
-		if t > 0 {
-			back, err := c.Wh.MulVecT(dpre)
-			if err != nil {
-				return 0, err
+	if cfg.ClipNorm > 0 {
+		var norm2 float64
+		for _, gs := range grads {
+			for _, v := range gs {
+				norm2 += v * v
 			}
-			for i := range back {
-				back[i] *= mask[i]
+		}
+		if norm2 > cfg.ClipNorm*cfg.ClipNorm {
+			f := cfg.ClipNorm / math.Sqrt(norm2)
+			for _, gs := range grads {
+				for i := range gs {
+					gs[i] *= f
+				}
 			}
-			dh = back
 		}
 	}
-	return lv, nil
+	for pi, ps := range params {
+		for i := range ps {
+			ps[i] -= cfg.LearningRate * grads[pi][i]
+		}
+	}
 }
