@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/edison"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
@@ -79,7 +80,9 @@ func TestPredictBatchPropagatesError(t *testing.T) {
 // error path: before the fix, the producer kept feeding every remaining index
 // after a failure and workers kept executing fn, so a failing batch still ran
 // all n inputs. With the stop flag, only the handful of already-queued
-// indices may still execute.
+// indices may still execute. Every other input takes a millisecond, as a
+// real prediction takes time: with a no-op fn the worker holding input 5 can
+// sit runnable while the rest drain the whole batch before it ever fails.
 func TestForEachInputStopsAfterError(t *testing.T) {
 	const n = 10000
 	sentinel := errors.New("boom")
@@ -90,6 +93,7 @@ func TestForEachInputStopsAfterError(t *testing.T) {
 			if i == 5 {
 				return sentinel
 			}
+			time.Sleep(time.Millisecond)
 			return nil
 		})
 		if !errors.Is(err, sentinel) {
