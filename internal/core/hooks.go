@@ -23,6 +23,13 @@ type Hooks struct {
 	// worker reports its own chunk, so one batch yields up to GOMAXPROCS
 	// calls per layer; rows identifies the chunk size.
 	LayerTime func(layer, rows int, d time.Duration)
+	// ActivationTime is called after each layer's activation step with the
+	// layer index, the rows and the wall time of that step alone: bias add,
+	// variance clamp, the activation moments and the fused next-layer dropout
+	// prep. LayerTime minus ActivationTime is the layer's affine (matmul)
+	// time. Only the engine's row-chunk path fires it; a compiled program
+	// fuses the two steps and reports LayerTime alone.
+	ActivationTime func(layer, rows int, d time.Duration)
 	// ScratchGet is called once per scratch-buffer acquisition (once per
 	// row chunk). hit is true when the pool returned a warm buffer set,
 	// false when a fresh allocation was needed.

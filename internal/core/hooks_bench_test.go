@@ -95,3 +95,42 @@ func BenchmarkPropagateNilHooks(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPropagateBatchTanh64 is the upload-batch workload's propagation:
+// perfbench's tanh 5-256-256-1 model, 64 standard-normal rows per call. The
+// LayerTime and ActivationTime hooks split each layer's wall time into its
+// affine step (the dual-panel matmul) and its activation step, reported per
+// row alongside their share. Hooks never change the outputs, and their cost
+// (two time.Now pairs per layer per chunk) is inside ns/op.
+func BenchmarkPropagateBatchTanh64(b *testing.B) {
+	p, err := NewPropagator(perfbenchNet(b, nn.ActTanh), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([]tensor.Vector, 64)
+	for i := range inputs {
+		inputs[i] = make(tensor.Vector, 5)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.NormFloat64()
+		}
+	}
+	var layerNanos, actNanos atomic.Int64
+	p.SetHooks(&Hooks{
+		LayerTime:      func(_, _ int, d time.Duration) { layerNanos.Add(d.Nanoseconds()) },
+		ActivationTime: func(_, _ int, d time.Duration) { actNanos.Add(d.Nanoseconds()) },
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.PropagateBatch(inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	rows := float64(b.N * len(inputs))
+	layer, act := float64(layerNanos.Load()), float64(actNanos.Load())
+	b.ReportMetric((layer-act)/rows/1e3, "affine_us/row")
+	b.ReportMetric(act/rows/1e3, "activation_us/row")
+	b.ReportMetric(act/layer, "activation_share")
+}

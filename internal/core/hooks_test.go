@@ -44,6 +44,7 @@ func TestHooksFire(t *testing.T) {
 	var mu sync.Mutex
 	var batchRows []int
 	layerRows := map[int]int{} // layer → total rows reported
+	actRows := map[int]int{}   // layer → rows reported by ActivationTime
 	var scratchHits, scratchMisses int
 	p.SetHooks(&Hooks{
 		BatchStart: func(rows int) {
@@ -57,6 +58,14 @@ func TestHooksFire(t *testing.T) {
 			}
 			mu.Lock()
 			layerRows[layer] += rows
+			mu.Unlock()
+		},
+		ActivationTime: func(layer, rows int, d time.Duration) {
+			if d < 0 {
+				t.Errorf("negative activation duration %v", d)
+			}
+			mu.Lock()
+			actRows[layer] += rows
 			mu.Unlock()
 		},
 		ScratchGet: func(hit bool) {
@@ -94,6 +103,9 @@ func TestHooksFire(t *testing.T) {
 	for li := 0; li < net.NumLayers(); li++ {
 		if layerRows[li] != 2*32+1 {
 			t.Errorf("layer %d saw %d rows, want %d", li, layerRows[li], 2*32+1)
+		}
+		if actRows[li] != 2*32+1 {
+			t.Errorf("layer %d activation saw %d rows, want %d", li, actRows[li], 2*32+1)
 		}
 	}
 	if scratchHits+scratchMisses == 0 {
@@ -144,9 +156,10 @@ func TestPropagateBatchHookedBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		hooked.SetHooks(&Hooks{
-			BatchStart: func(int) {},
-			LayerTime:  func(int, int, time.Duration) {},
-			ScratchGet: func(bool) {},
+			BatchStart:     func(int) {},
+			LayerTime:      func(int, int, time.Duration) {},
+			ActivationTime: func(int, int, time.Duration) {},
+			ScratchGet:     func(bool) {},
 		})
 
 		inputs := hookTestInputs(37, net.InputDim(), 9)
