@@ -132,6 +132,25 @@ func GaussTerms(z, e, q []float64) {
 	}
 }
 
+// GaussTermsWindow is GaussTerms for a caller that only reads the lanes
+// with |z| < TailZ: e[i], q[i] = GaussTermsAt(z[i]) there, and every other
+// lane (past the window, ±Inf, NaN) is left unspecified instead of taking
+// the scalar tail. The activation panel blends those lanes to the constant
+// tail boundary, so it pays no scalar work for its dead knots.
+func GaussTermsWindow(z, e, q []float64) {
+	for i := gaussTermsVec(z, e, q); i < len(z); i++ {
+		if math.Abs(z[i]) < TailZ {
+			e[i], q[i] = GaussTermsAt(z[i])
+		}
+	}
+}
+
+// VectorKernels reports the GaussTerms vector paths in use (AVX2, AVX-512).
+// The activation panel (core.ActKernel.MomentsPanel) runs its own AVX-512
+// passes exactly when the AVX-512 path is in use, so this package's tests
+// force both layers together.
+func VectorKernels() (avx2, avx512 bool) { return useAVX2, useAVX512 }
+
 // BoundaryFrom assembles the boundary terms at a window knot z from its
 // shared-exp terms (e, q) = GaussTermsAt(z); BoundaryZ is exactly this for
 // |z| < TailZ and NaN.
