@@ -44,6 +44,28 @@ func axpy4(x0, x1, x2, x3 float64, w, d0, d1, d2, d3 []float64) {
 	axpy4AVX(x0, x1, x2, x3, &w[0], len(w), &d0[0], &d1[0], &d2[0], &d3[0])
 }
 
+// axpyAVX is the single-row kernel in axpy_amd64.s: d[j] += x * w[j] for
+// j in 0..n-1, with the separately rounded multiply and add of the scalar
+// loop. mulBlocked runs its rows past the last multiple of 4 on it.
+func axpyAVX(x float64, w *float64, n int, d *float64)
+
+// axpyAVX512 is the same kernel widened to 8 doubles per step.
+func axpyAVX512(x float64, w *float64, n int, d *float64)
+
+// axpy wraps the single-row kernels with slice bookkeeping and width
+// dispatch. d must be at least len(w) long.
+func axpy(x float64, w, d []float64) {
+	if len(w) == 0 {
+		return
+	}
+	_ = d[len(w)-1]
+	if hasAVX512 {
+		axpyAVX512(x, &w[0], len(w), &d[0])
+		return
+	}
+	axpyAVX(x, &w[0], len(w), &d[0])
+}
+
 // axpyDualAVX is the single-row dual-moment kernel in axpy_amd64.s:
 // dm[j] += xm * wm[j] and dv[j] += xv * wv[j] for j in 0..n-1 in one vector
 // pass. Like axpy4AVX it uses separate VMULPD and VADDPD so every lane is

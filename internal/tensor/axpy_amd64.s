@@ -492,3 +492,89 @@ qtail1z:
 qdone512:
 	VZEROUPPER
 	RET
+
+// func axpyAVX(x float64, w *float64, n int, d *float64)
+//
+// Single-row axpy: d[j] += x * w[j], 4 doubles per step — mulBlocked's rows
+// past the last multiple of 4 (every one-row product). Separate VMULPD +
+// VADDPD as everywhere else: bit-identical to the scalar Go loop.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSD x+0(FP), Y0
+	MOVQ w+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ d+24(FP), R8
+	XORQ DX, DX             // j
+	MOVQ CX, BX
+	ANDQ $-4, BX            // BX = n & ^3: last index of the 4-wide loop
+
+sloop4:
+	CMPQ DX, BX
+	JGE  stail
+	VMOVUPD (SI)(DX*8), Y4  // w[j:j+4]
+	VMULPD  Y4, Y0, Y5
+	VADDPD  (R8)(DX*8), Y5, Y5
+	VMOVUPD Y5, (R8)(DX*8)  // d[j:j+4] += x*w
+	ADDQ    $4, DX
+	JMP     sloop4
+
+stail:
+	CMPQ DX, CX
+	JGE  sdone
+	VMOVSD (SI)(DX*8), X4
+	VMULSD X4, X0, X5
+	VADDSD (R8)(DX*8), X5, X5
+	VMOVSD X5, (R8)(DX*8)
+	INCQ   DX
+	JMP    stail
+
+sdone:
+	VZEROUPPER
+	RET
+
+// func axpyAVX512(x float64, w *float64, n int, d *float64)
+//
+// The 8-wide ZMM variant of axpyAVX: one optional 4-wide step, then the
+// scalar tail.
+TEXT ·axpyAVX512(SB), NOSPLIT, $0-32
+	VBROADCASTSD x+0(FP), Z0
+	MOVQ w+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ d+24(FP), R8
+	XORQ DX, DX             // j
+	MOVQ CX, BX
+	ANDQ $-8, BX            // BX = n & ^7: last index of the 8-wide loop
+
+sloop8:
+	CMPQ DX, BX
+	JGE  stail4z
+	VMOVUPD (SI)(DX*8), Z4  // w[j:j+8]
+	VMULPD  Z4, Z0, Z5
+	VADDPD  (R8)(DX*8), Z5, Z5
+	VMOVUPD Z5, (R8)(DX*8)  // d[j:j+8] += x*w
+	ADDQ    $8, DX
+	JMP     sloop8
+
+stail4z:
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	CMPQ DX, BX
+	JGE  stail1z
+	VMOVUPD (SI)(DX*8), Y4
+	VMULPD  Y4, Y0, Y5
+	VADDPD  (R8)(DX*8), Y5, Y5
+	VMOVUPD Y5, (R8)(DX*8)
+	ADDQ    $4, DX
+
+stail1z:
+	CMPQ DX, CX
+	JGE  sdone512
+	VMOVSD (SI)(DX*8), X4
+	VMULSD X4, X0, X5
+	VADDSD (R8)(DX*8), X5, X5
+	VMOVSD X5, (R8)(DX*8)
+	INCQ   DX
+	JMP    stail1z
+
+sdone512:
+	VZEROUPPER
+	RET

@@ -15,6 +15,11 @@ func axpy4(x0, x1, x2, x3 float64, w, d0, d1, d2, d3 []float64) {
 	panic("tensor: vector axpy kernel unavailable on this architecture")
 }
 
+// axpy is never reached when hasAVX is false; see axpy4.
+func axpy(x float64, w, d []float64) {
+	panic("tensor: vector axpy kernel unavailable on this architecture")
+}
+
 // axpyDual is never reached when hasAVX is false; see axpy4.
 func axpyDual(xm, xv float64, wm, wv, dm, dv []float64) {
 	panic("tensor: vector axpy kernel unavailable on this architecture")

@@ -34,7 +34,8 @@ func (m *Matrix) MulInto(n, dst *Matrix) error {
 // gemv), and 4-row register-blocked so each loaded n element feeds four
 // output rows. On amd64 with AVX the inner loop
 // dispatches to the axpy4 vector kernel, which performs the identical
-// sequence of separately rounded multiplies and adds 4 lanes at a time. Per
+// sequence of separately rounded multiplies and adds 4 lanes at a time, and
+// the rows past the last multiple of 4 to the single-row axpy kernel. Per
 // output element the k-order is ascending, matching MulVecInto.
 func mulBlocked(m, n, dst *Matrix) {
 	k, cols := m.Cols, n.Cols
@@ -84,6 +85,10 @@ func mulBlocked(m, n, dst *Matrix) {
 					continue
 				}
 				w := n.Data[kk*cols : (kk+1)*cols]
+				if hasAVX {
+					axpy(x, w, oi)
+					continue
+				}
 				bi := oi[:len(w)]
 				for j, wj := range w {
 					bi[j] += x * wj

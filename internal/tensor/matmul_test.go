@@ -128,3 +128,56 @@ func TestMulBlockedVectorScalarBitExact(t *testing.T) {
 		hasAVX, hasAVX512 = savedAVX, saved512
 	}
 }
+
+// TestMulBlockedTailRowsBitExact pins the single-row axpy kernel of
+// mulBlocked's tail: every row count 1–9 (so 1–3 rows past the 4-row blocks,
+// and the one-row product alone), ragged column counts against both vector
+// widths, zero and signed-zero left-hand entries and non-finite weights,
+// with the vector kernels forced on and off.
+func TestMulBlockedTailRowsBitExact(t *testing.T) {
+	if !hasAVX {
+		t.Skip("no AVX vector kernel on this machine")
+	}
+	savedAVX, saved512 := hasAVX, hasAVX512
+	defer func() { hasAVX, hasAVX512 = savedAVX, saved512 }()
+	rng := rand.New(rand.NewSource(12))
+	for rows := 1; rows <= 9; rows++ {
+		for _, kc := range [][2]int{{1, 1}, {3, 7}, {70, 13}, {5, 256}, {130, 17}} {
+			k, cols := kc[0], kc[1]
+			a := NewMatrix(rows, k)
+			b := NewMatrix(k, cols)
+			a.RandomNormal(rng, 0, 1)
+			b.RandomNormal(rng, 0, 1)
+			for i := 0; i < len(a.Data); i += 4 {
+				a.Data[i] = 0
+			}
+			for i := 2; i < len(a.Data); i += 7 {
+				a.Data[i] = math.Copysign(0, -1)
+			}
+			if len(b.Data) > 3 {
+				b.Data[1], b.Data[3] = math.Inf(1), math.NaN()
+			}
+			hasAVX, hasAVX512 = false, false
+			sca := NewMatrix(rows, cols)
+			if err := a.MulInto(b, sca); err != nil {
+				t.Fatal(err)
+			}
+			for _, zmm := range []bool{false, true} {
+				if zmm && !saved512 {
+					continue
+				}
+				hasAVX, hasAVX512 = true, zmm
+				vec := NewMatrix(rows, cols)
+				if err := a.MulInto(b, vec); err != nil {
+					t.Fatal(err)
+				}
+				for i := range vec.Data {
+					if math.Float64bits(vec.Data[i]) != math.Float64bits(sca.Data[i]) {
+						t.Fatalf("%d×%d×%d avx512=%v: element %d: vector %x != scalar %x",
+							rows, k, cols, zmm, i, math.Float64bits(vec.Data[i]), math.Float64bits(sca.Data[i]))
+					}
+				}
+			}
+		}
+	}
+}
