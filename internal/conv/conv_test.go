@@ -501,3 +501,40 @@ func TestTrainValidation(t *testing.T) {
 		t.Errorf("bad channels err = %v", err)
 	}
 }
+
+// TestTrainBadTargetLeavesWeights checks every target against the loss
+// before the first update: a set whose last target has the wrong width is
+// rejected with every weight bit as it was.
+func TestTrainBadTargetLeavesWeights(t *testing.T) {
+	net := buildTestNet(t, 1, 5)
+	params := func() []float64 {
+		var p []float64
+		for _, c := range net.Convs() {
+			p = append(append(p, c.W...), c.B...)
+		}
+		for _, l := range net.Head().Layers() {
+			p = append(append(p, l.W.Data...), l.B...)
+		}
+		return p
+	}
+	want := params()
+	rng := rand.New(rand.NewSource(6))
+	var data []Sample
+	for i := 0; i < 12; i++ {
+		x := NewSeq(12, 2)
+		for j := range x.Data {
+			x.Data[j] = rng.NormFloat64()
+		}
+		data = append(data, Sample{X: x, Y: tensor.Vector{rng.NormFloat64(), rng.NormFloat64()}})
+	}
+	data[len(data)-1].Y = tensor.Vector{1, 2, 3}
+	err := Train(net, data, TrainConfig{Epochs: 2, BatchSize: 3, LearningRate: 0.1, Seed: 1, Loss: train.MSE{}})
+	if !errors.Is(err, ErrConfig) {
+		t.Fatalf("err = %v, want ErrConfig", err)
+	}
+	for i, v := range params() {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("parameter %d changed by a rejected Train: %v -> %v", i, want[i], v)
+		}
+	}
+}

@@ -95,9 +95,16 @@ func Train(n *Net, data []Sample, cfg TrainConfig) error {
 	if err := cfg.validate(len(data)); err != nil {
 		return err
 	}
+	// Every input, and every target against cfg.Loss, is checked before the
+	// first update, so a rejected call leaves the weights untouched.
+	out := n.head.OutputDim()
+	probe, probeGrad := tensor.NewVector(out), tensor.NewVector(out)
 	for i, s := range data {
 		if s.X == nil || s.X.Channels != n.convs[0].InCh {
 			return fmt.Errorf("sample %d: bad input: %w", i, ErrConfig)
+		}
+		if _, err := cfg.Loss.Eval(probe, s.Y, probeGrad); err != nil {
+			return fmt.Errorf("sample %d: target: %w: %w", i, err, ErrConfig)
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -122,9 +122,23 @@ func Fit(net *nn.Network, trainSet, valSet []Sample, cfg Config) (*History, erro
 	if cfg.EarlyStopPatience > 0 && len(valSet) == 0 {
 		return nil, fmt.Errorf("early stopping needs a validation set: %w", ErrConfig)
 	}
+	// Every sample, and every target against cfg.Loss, is checked before
+	// the first update, so a rejected call leaves the weights untouched.
+	probe, probeGrad := tensor.NewVector(net.OutputDim()), tensor.NewVector(net.OutputDim())
 	for i, s := range trainSet {
 		if len(s.X) != net.InputDim() || len(s.Y) == 0 {
 			return nil, fmt.Errorf("sample %d: dims X=%d Y=%d: %w", i, len(s.X), len(s.Y), ErrConfig)
+		}
+		if _, err := cfg.Loss.Eval(probe, s.Y, probeGrad); err != nil {
+			return nil, fmt.Errorf("sample %d: target: %w: %w", i, err, ErrConfig)
+		}
+	}
+	for i, s := range valSet {
+		if len(s.X) != net.InputDim() {
+			return nil, fmt.Errorf("validation sample %d: dim X=%d: %w", i, len(s.X), ErrConfig)
+		}
+		if _, err := cfg.Loss.Eval(probe, s.Y, probeGrad); err != nil {
+			return nil, fmt.Errorf("validation sample %d: target: %w: %w", i, err, ErrConfig)
 		}
 	}
 

@@ -440,3 +440,38 @@ func TestClipNormBounded(t *testing.T) {
 		t.Error("clipped training produced NaN")
 	}
 }
+
+// TestFitBadTargetLeavesWeights checks every target against the loss before
+// the first update: a training or validation set whose last target has the
+// wrong width is rejected with every weight bit as it was.
+func TestFitBadTargetLeavesWeights(t *testing.T) {
+	net, err := nn.New(nn.Config{
+		InputDim: 1, Hidden: []int{6}, OutputDim: 1,
+		Activation: nn.ActTanh, OutputActivation: nn.ActIdentity,
+		KeepProb: 0.9, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	for _, l := range net.Layers() {
+		want = append(append(want, l.W.Data...), l.B...)
+	}
+	good := makeRegressionData(20, 1)
+	bad := append(append([]Sample(nil), good...), Sample{X: tensor.Vector{0.5}, Y: tensor.Vector{1, 2}})
+	cfg := Config{Epochs: 2, BatchSize: 4, Seed: 1, Loss: MSE{}, Optimizer: NewAdam(0.01)}
+	for name, sets := range map[string][2][]Sample{"train": {bad, nil}, "validation": {good, bad}} {
+		if _, err := Fit(net, sets[0], sets[1], cfg); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%s: err = %v, want ErrConfig", name, err)
+		}
+		i := 0
+		for _, l := range net.Layers() {
+			for _, v := range append(append([]float64(nil), l.W.Data...), l.B...) {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: parameter %d changed by a rejected Fit: %v -> %v", name, i, want[i], v)
+				}
+				i++
+			}
+		}
+	}
+}
