@@ -1,13 +1,12 @@
 # Developer entry points. `make check` is the pre-merge gate: vet + build +
 # race tests over the numeric hot paths, the observability/serving path, and
 # the oracle-backed differential harness + a fuzz smoke pass over every fuzz
-# target + smoke runs of the batched-propagation (with its metrics
-# snapshot), serving, registry, sequence-path, cluster, and session-fleet
-# benchmarks (the last three diffed against their committed trajectories
-# with tools/benchdiff). The smokes write to a scratch directory, never to
-# results/.
+# target + the activation-panel gate + smoke runs of the registry,
+# cluster, sequence-path and session-fleet benchmarks (the last three
+# diffed against their committed trajectories with tools/benchdiff). The
+# smokes write to a scratch directory, never to results/.
 
-.PHONY: check test fuzz bench bench-hooks bench-serve bench-registry bench-cluster bench-seq bench-sessions build
+.PHONY: check test fuzz bench bench-hooks bench-registry bench-cluster bench-seq bench-sessions build
 
 check:
 	./tools/check.sh
@@ -28,6 +27,7 @@ fuzz:
 	go test -run NONE -fuzz 'FuzzConvVsOracle' -fuzztime 2m ./internal/proptest
 	go test -run NONE -fuzz 'FuzzKnotWindow' -fuzztime 2m ./internal/core
 	go test -run NONE -fuzz 'FuzzActPanel' -fuzztime 2m ./internal/stats
+	go test -run NONE -fuzz 'FuzzPanelLanes' -fuzztime 2m ./internal/stats
 	go test -run NONE -fuzz 'FuzzLoadModel' -fuzztime 2m ./internal/nn
 
 bench:
@@ -39,12 +39,6 @@ bench:
 # live callbacks.
 bench-hooks:
 	go test -run NONE -bench 'PropagateBatch(NilHooks|Hooked)' -benchtime 2s ./internal/core
-
-# The serving benchmark: closed-loop clients at concurrency 1/8/64, coalesced
-# vs per-request, recorded as results/BENCH_serve.json (the committed
-# artifact; EXPERIMENTS.md documents the recorded run).
-bench-serve:
-	go run ./cmd/apds-bench -serve -results results
 
 # The registry benchmark: serving through the model registry while route
 # tables swap, versions hot-reload, and shadow traffic duplicates to a

@@ -16,6 +16,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -297,41 +298,26 @@ func (p *replicaProc) kill() {
 
 // --- load generation ---------------------------------------------------------
 
-// loadSample is one request's outcome: offset of its start into the
-// scenario, latency, and success.
+// loadSample is one arrival's outcome: offset of its start into the run,
+// latency, and whether the call succeeded.
 type loadSample struct {
 	offsetSec float64
 	micros    float64
 	ok        bool
 }
 
-type loadStats struct {
-	mu      sync.Mutex
-	samples []loadSample
-}
-
-func (s *loadStats) add(offsetSec, micros float64, ok bool) {
-	s.mu.Lock()
-	s.samples = append(s.samples, loadSample{offsetSec, micros, ok})
-	s.mu.Unlock()
-}
-
-// openLoop offers requests at a fixed rate regardless of completion times
+// openLoop offers call(i) at a fixed rate regardless of completion times
 // (open loop: arrivals are independent of service, so saturation shows up as
-// shed load, not as a silently slowed client). Each arrival runs in its own
-// goroutine; keys come from keyFn. The loop runs for at least minDur and
-// until stopAfter (nil means stop exactly at minDur).
-func openLoop(client *http.Client, baseURL string, offered float64, minDur time.Duration,
-	stopAfter <-chan struct{}, keyFn func(i int64) string) (*loadStats, time.Duration) {
-	stats := &loadStats{}
-	body := []byte(`{"input":[0.1,-0.2,0.3,0.05,-0.4]}`)
-	interval := time.Duration(float64(time.Second) / offered)
-	var wg sync.WaitGroup
-	start := time.Now()
-	done := func() bool {
-		if time.Since(start) < minDur {
-			return false
-		}
+// shed load or queueing, not as a silently slowed client). Arrival i is due
+// at start + i/rate on an absolute schedule: a late slot fires as soon as
+// the pacer wakes and does not push later slots back, and no slot is
+// skipped. Each arrival runs in its own goroutine. Slots keep coming until
+// one falls at or after minDur with stopAfter closed (nil: stop at minDur).
+// It returns every arrival's sample, failed calls included, and the wall
+// time until the last one finished.
+func openLoop(rate float64, minDur time.Duration, stopAfter <-chan struct{}, call func(i int64) bool) ([]loadSample, time.Duration) {
+	interval := time.Duration(float64(time.Second) / rate)
+	stopped := func() bool {
 		if stopAfter == nil {
 			return true
 		}
@@ -342,22 +328,62 @@ func openLoop(client *http.Client, baseURL string, offered float64, minDur time.
 			return false
 		}
 	}
-	var i int64
-	for next := start; !done(); next = next.Add(interval) {
-		if wait := time.Until(next); wait > 0 {
+	var (
+		mu      sync.Mutex
+		samples []loadSample
+		wg      sync.WaitGroup
+	)
+	start := time.Now()
+	for i := int64(0); ; i++ {
+		slot := time.Duration(i) * interval
+		if wait := time.Until(start.Add(slot)); wait > 0 {
 			time.Sleep(wait)
+		}
+		if slot >= minDur && stopped() {
+			break
 		}
 		wg.Add(1)
 		go func(i int64) {
 			defer wg.Done()
 			t0 := time.Now()
-			ok := doPredict(client, baseURL, keyFn(i), body)
-			stats.add(t0.Sub(start).Seconds(), float64(time.Since(t0).Microseconds()), ok)
+			ok := call(i)
+			s := loadSample{t0.Sub(start).Seconds(), float64(time.Since(t0).Microseconds()), ok}
+			mu.Lock()
+			samples = append(samples, s)
+			mu.Unlock()
 		}(i)
-		i++
 	}
 	wg.Wait()
-	return stats, time.Since(start)
+	return samples, time.Since(start)
+}
+
+// percentile returns the nearest-rank q-quantile of sorted: its ⌈q·n⌉-th
+// smallest value. q·n is shrunk by a relative 1e-12 before the ceiling,
+// because float error can leave an exact multiple just above its integer
+// (0.07·100 evaluates to 7.000000000000001) and push the rank up by one.
+func percentile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	x := q * float64(len(sorted))
+	i := int(math.Ceil(x-x*1e-12)) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
+	return sorted[i]
+}
+
+// predictLoad offers one scenario's open loop against the router at baseURL,
+// keying arrival i by keyFn(i).
+func predictLoad(client *http.Client, baseURL string, offered float64, minDur time.Duration,
+	stopAfter <-chan struct{}, keyFn func(i int64) string) ([]loadSample, time.Duration) {
+	body := []byte(`{"input":[0.1,-0.2,0.3,0.05,-0.4]}`)
+	return openLoop(offered, minDur, stopAfter, func(i int64) bool {
+		return doPredict(client, baseURL, keyFn(i), body)
+	})
 }
 
 func doPredict(client *http.Client, baseURL, key string, body []byte) bool {
@@ -376,10 +402,11 @@ func doPredict(client *http.Client, baseURL, key string, body []byte) bool {
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
 }
 
-// summarize folds raw samples into a scenario row.
-func summarize(sc *clusterScenario, stats *loadStats, elapsed time.Duration) {
+// summarize folds raw samples into a scenario row: every arrival counts as
+// sent, failures are counted, and the percentiles cover answered requests.
+func summarize(sc *clusterScenario, samples []loadSample, elapsed time.Duration) {
 	var okLats []float64
-	for _, s := range stats.samples {
+	for _, s := range samples {
 		sc.Sent++
 		if s.ok {
 			sc.OK++
@@ -466,7 +493,7 @@ func emitClusterBench(dir string, maxReplicas int, cell time.Duration) error {
 		BudgetPerReplica:   budget,
 		OfferedLoad:        offered,
 		CellSec:            cell.Seconds(),
-		GOMAXPROCS:         maxprocs(),
+		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		Timestamp:          time.Now().UTC().Format(time.RFC3339),
 	}
 	tbl := &report.Table{
@@ -614,11 +641,11 @@ func runScaleScenario(client *http.Client, n int, budget, offered float64, cell 
 		return nil, err
 	}
 	defer f.close()
-	openLoop(client, f.url, offered, cell/4+50*time.Millisecond, nil, uniformKeys) // warmup
-	stats, elapsed := openLoop(client, f.url, offered, cell, nil, uniformKeys)
+	predictLoad(client, f.url, offered, cell/4+50*time.Millisecond, nil, uniformKeys) // warmup
+	samples, elapsed := predictLoad(client, f.url, offered, cell, nil, uniformKeys)
 	sc := &clusterScenario{Name: fmt.Sprintf("scale_%d", n), Replicas: n, OfferedLoad: offered,
 		Shed: f.metrics.Shed()}
-	summarize(sc, stats, elapsed)
+	summarize(sc, samples, elapsed)
 	return sc, nil
 }
 
@@ -645,7 +672,7 @@ func runNodeKillScenario(client *http.Client, budget float64, cell time.Duration
 		killAt.Store(time.Since(start).Microseconds())
 		victim.kill()
 	}()
-	stats, elapsed := openLoop(client, f.url, offered, total, nil, uniformKeys)
+	samples, elapsed := predictLoad(client, f.url, offered, total, nil, uniformKeys)
 
 	// The probe window: FailAfter consecutive probes (100ms apart) each up
 	// to the 500ms probe timeout, plus slack for the ring swap.
@@ -654,7 +681,7 @@ func runNodeKillScenario(client *http.Client, budget float64, cell time.Duration
 	sc := &clusterScenario{Name: "node_kill", Replicas: 4, OfferedLoad: offered,
 		KillAtSec: killSec, ProbeWindowSec: probeWindow,
 		Spills: spillTotal(f), Retries: retryTotal(f), Shed: f.metrics.Shed()}
-	for _, s := range stats.samples {
+	for _, s := range samples {
 		if !s.ok {
 			if s.offsetSec > killSec+probeWindow {
 				sc.FailedAfterWindow++
@@ -663,7 +690,7 @@ func runNodeKillScenario(client *http.Client, budget float64, cell time.Duration
 			}
 		}
 	}
-	summarize(sc, stats, elapsed)
+	summarize(sc, samples, elapsed)
 	return sc, nil
 }
 
@@ -690,13 +717,13 @@ func runRollingReloadScenario(client *http.Client, budget float64, cell time.Dur
 			}
 		}
 	}()
-	stats, elapsed := openLoop(client, f.url, offered, cell, reloadDone, uniformKeys)
+	samples, elapsed := predictLoad(client, f.url, offered, cell, reloadDone, uniformKeys)
 	if reloadErr != nil {
 		return nil, reloadErr
 	}
 	sc := &clusterScenario{Name: "rolling_reload", Replicas: 4, OfferedLoad: offered,
 		Spills: spillTotal(f), Retries: retryTotal(f), Shed: f.metrics.Shed()}
-	summarize(sc, stats, elapsed)
+	summarize(sc, samples, elapsed)
 	return sc, nil
 }
 
@@ -757,11 +784,11 @@ func runHotKeyScenario(client *http.Client, budget float64, cell time.Duration) 
 		defer zmu.Unlock()
 		return z.NextKey()
 	}
-	openLoop(client, f.url, offered, cell/4+50*time.Millisecond, nil, keyFn)
-	stats, elapsed := openLoop(client, f.url, offered, cell, nil, keyFn)
+	predictLoad(client, f.url, offered, cell/4+50*time.Millisecond, nil, keyFn)
+	samples, elapsed := predictLoad(client, f.url, offered, cell, nil, keyFn)
 	sc := &clusterScenario{Name: "hot_key", Replicas: 4, OfferedLoad: offered,
 		Spills: spillTotal(f), Retries: retryTotal(f), Shed: f.metrics.Shed()}
-	summarize(sc, stats, elapsed)
+	summarize(sc, samples, elapsed)
 	return sc, nil
 }
 

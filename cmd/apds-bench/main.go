@@ -9,9 +9,6 @@
 //	apds-bench -table 1                  # one table
 //	apds-bench -fig 2                    # one figure
 //	apds-bench -scale quick -all         # fast smoke run
-//	apds-bench -batch                    # batched-vs-sequential propagation benchmark
-//	apds-bench -batch -obs               # same, plus a metrics snapshot (BENCH_obs.prom)
-//	apds-bench -serve                    # coalesced-vs-per-request serving benchmark
 //	apds-bench -registry                 # registry serving under continuous hot-swap
 //	apds-bench -sessions                 # resident session fleet: 1M sessions, snapshot/restore, churn
 package main
@@ -46,9 +43,6 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "regenerate every table and figure")
 	ablations := fs.Bool("ablations", false, "also run the ablation studies (PWL pieces, softmax link, variance bias)")
 	verify := fs.Bool("verify", false, "check the paper's qualitative claims against measured results")
-	batch := fs.Bool("batch", false, "benchmark batched vs per-sample moment propagation (writes BENCH_batch.json)")
-	serveBench := fs.Bool("serve", false, "benchmark coalesced vs per-request serving under closed-loop load (writes BENCH_serve.json)")
-	serveCell := fs.Duration("serve-duration", 2*time.Second, "with -serve: measured wall time per (concurrency, mode) cell")
 	registryBench := fs.Bool("registry", false, "benchmark registry serving under continuous hot-swap/reload/shadow (writes BENCH_registry.json)")
 	seqBench := fs.Bool("seq", false, "benchmark the conv/RNN/GRU/LSTM sequence moment paths and the exact activation backend on dense rectifier nets (writes BENCH_seq.json)")
 	clusterBench := fs.Bool("cluster", false, "benchmark the sharded multi-replica serving tier under open-loop load (writes BENCH_cluster.json)")
@@ -61,7 +55,6 @@ func run(args []string) error {
 	clusterBudget := fs.Float64("cluster-budget", 0, "internal: admission budget in requests/second for -cluster-replica (0 = unlimited)")
 	clusterListen := fs.String("cluster-listen", "127.0.0.1:0", "internal: listen address for -cluster-replica")
 	registryCell := fs.Duration("registry-duration", 2*time.Second, "with -registry: measured wall time per mode cell")
-	obsMode := fs.Bool("obs", false, "with -batch: attach propagator observability hooks and dump the metrics registry snapshot (BENCH_obs.prom)")
 	verbose := fs.Bool("v", false, "log progress")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,13 +63,8 @@ func run(args []string) error {
 		// Child mode: this process IS one replica of the cluster bench.
 		return runClusterReplica(*clusterBudget, *clusterListen)
 	}
-	if *obsMode && !*batch {
-		// -obs instruments the batch benchmark; alone it has nothing to
-		// observe, so imply -batch rather than fail.
-		*batch = true
-	}
-	if !*all && *tableN == 0 && *figN == 0 && !*ablations && !*verify && !*batch && !*serveBench && !*registryBench && !*seqBench && !*clusterBench && !*sessionsBench {
-		return fmt.Errorf("nothing to do: pass -all, -table N, -fig N, -ablations, -verify, -batch, -serve, -registry, -seq, -cluster, -sessions, or -obs")
+	if !*all && *tableN == 0 && *figN == 0 && !*ablations && !*verify && !*registryBench && !*seqBench && !*clusterBench && !*sessionsBench {
+		return fmt.Errorf("nothing to do: pass -all, -table N, -fig N, -ablations, -verify, -registry, -seq, -cluster, or -sessions")
 	}
 
 	scale, err := scaleByName(*scaleName)
@@ -135,16 +123,6 @@ func run(args []string) error {
 	}
 	if *verify {
 		if err := emitVerify(runner, *resultDir); err != nil {
-			return err
-		}
-	}
-	if *batch {
-		if err := emitBatchBench(*resultDir, *obsMode); err != nil {
-			return err
-		}
-	}
-	if *serveBench {
-		if err := emitServeBench(*resultDir, *serveCell); err != nil {
 			return err
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,12 +60,13 @@ type registryBenchReport struct {
 	Entries    []registryBenchEntry `json:"entries"`
 }
 
-// emitRegistryBench measures the model-registry serving path under a closed
-// loop: steady single-version serving (the baseline), serving while route
-// tables swap continuously, serving while whole versions hot-reload
-// (load + warmup + register + route), and serving with shadow duplication to
-// a candidate version. Results print as a table and land in
-// BENCH_registry.json under dir.
+// emitRegistryBench measures the model-registry serving path. Four
+// closed-loop cells cover steady single-version serving (the baseline),
+// serving while route tables swap continuously, serving while whole versions
+// hot-reload (load + warmup + register + route), and serving with shadow
+// duplication to a candidate version. A paced open-loop pair then compares
+// primary-path latency with shadow off and on at a tenth of steady capacity.
+// Results print as a table and land in BENCH_registry.json under dir.
 func emitRegistryBench(dir string, cell time.Duration) error {
 	mkNet := func(seed int64) (*nn.Network, error) {
 		return nn.New(nn.Config{
@@ -102,7 +105,7 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 		MaxBatch:   64,
 		Clients:    registryBenchClients,
 		CellSecs:   cell.Seconds(),
-		GOMAXPROCS: maxprocs(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
 	tbl := &report.Table{
@@ -135,10 +138,9 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 	}
 
 	// Cell 1: steady — one routed version, no mutations.
-	steady := runServeCell(registryBenchClients, cell, predict)
-	entry := registryBenchEntry{Mode: "steady", Requests: steady.Requests, QPS: steady.QPS,
-		P50Micros: steady.P50Micros, P95Micros: steady.P95Micros, P99Micros: steady.P99Micros}
-	addRow(entry)
+	steady := closedLoopCell(cell, predict)
+	steady.Mode = "steady"
+	addRow(steady)
 	baseQPS := steady.QPS
 
 	// mutateCell runs one cell with a background mutator invoking step in a
@@ -171,18 +173,18 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 				time.Sleep(gap)
 			}
 		}()
-		res := runServeCell(registryBenchClients, cell, predict)
+		e := closedLoopCell(cell, predict)
 		close(stop)
 		wg.Wait()
 		if mutErr != nil {
 			return registryBenchEntry{}, fmt.Errorf("registry bench %s: %w", mode, mutErr)
 		}
 		sort.Float64s(swapLats)
-		e := registryBenchEntry{Mode: mode, Requests: res.Requests, QPS: res.QPS,
-			P50Micros: res.P50Micros, P95Micros: res.P95Micros, P99Micros: res.P99Micros,
-			Swaps: swaps, SwapP50Micros: percentile(swapLats, 0.50), SwapP99Micros: percentile(swapLats, 0.99)}
+		e.Mode, e.Swaps = mode, swaps
+		e.SwapP50Micros = percentile(swapLats, 0.50)
+		e.SwapP99Micros = percentile(swapLats, 0.99)
 		if baseQPS > 0 {
-			e.QPSvsSteady = res.QPS / baseQPS
+			e.QPSvsSteady = e.QPS / baseQPS
 		}
 		return e, nil
 	}
@@ -226,12 +228,12 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 	if err := r.SetRoutes("m", "v1", "", 0, "v2"); err != nil {
 		return fmt.Errorf("registry bench: %w", err)
 	}
-	shadowRes := runServeCell(registryBenchClients, cell, predict)
-	entry = registryBenchEntry{Mode: "shadow", Requests: shadowRes.Requests, QPS: shadowRes.QPS,
-		P50Micros: shadowRes.P50Micros, P95Micros: shadowRes.P95Micros, P99Micros: shadowRes.P99Micros,
-		ShadowCompleted: int64(met.ShadowCompleted("m")), ShadowDropped: int64(met.ShadowDropped("m"))}
+	entry = closedLoopCell(cell, predict)
+	entry.Mode = "shadow"
+	entry.ShadowCompleted = int64(met.ShadowCompleted("m"))
+	entry.ShadowDropped = int64(met.ShadowDropped("m"))
 	if baseQPS > 0 {
-		entry.QPSvsSteady = shadowRes.QPS / baseQPS
+		entry.QPSvsSteady = entry.QPS / baseQPS
 	}
 	addRow(entry)
 
@@ -246,19 +248,16 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 	if err := r.SetRoutes("m", "v1", "", 0, ""); err != nil {
 		return fmt.Errorf("registry bench: %w", err)
 	}
-	pacedOff := runOpenLoopCell(pacedRate, cell, predict)
+	pacedOff := pacedCell(pacedRate, cell, predict)
 	pacedOff.Mode = "paced"
 	addRow(pacedOff)
 	shadowBefore := met.ShadowCompleted("m")
 	if err := r.SetRoutes("m", "v1", "", 0, "v2"); err != nil {
 		return fmt.Errorf("registry bench: %w", err)
 	}
-	pacedOn := runOpenLoopCell(pacedRate, cell, predict)
+	pacedOn := pacedCell(pacedRate, cell, predict)
 	pacedOn.Mode = "paced_shadow"
 	pacedOn.ShadowCompleted = int64(met.ShadowCompleted("m") - shadowBefore)
-	if pacedOff.P50Micros > 0 {
-		pacedOn.QPSvsSteady = 0 // rate-matched; the comparison is the percentiles
-	}
 	addRow(pacedOn)
 
 	tbl.Notes = append(tbl.Notes,
@@ -282,52 +281,90 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 	return os.WriteFile(filepath.Join(dir, "BENCH_registry.json"), append(js, '\n'), 0o644)
 }
 
-// runOpenLoopCell issues requests at a fixed arrival rate (open loop: a slow
-// answer does not slow the arrival process) for roughly d and returns the
-// achieved throughput and latency percentiles. Queue-full rejections under
-// arrival bursts are dropped from the sample rather than failing the cell.
-func runOpenLoopCell(rate float64, d time.Duration, call func(tensor.Vector) error) registryBenchEntry {
+// closedLoopCell drives one closed-loop cell: registryBenchClients clients
+// issue requests through call back to back for roughly d, after a short
+// warmup. It returns the request count, throughput and latency percentiles.
+func closedLoopCell(d time.Duration, call func(tensor.Vector) error) registryBenchEntry {
+	inputs := benchBatchInputs(256, 5)
+	run := func(d time.Duration, record bool) []float64 {
+		var (
+			wg   sync.WaitGroup
+			lats = make([][]float64, registryBenchClients)
+		)
+		start := time.Now()
+		for w := range lats {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				x := inputs[w%len(inputs)]
+				for time.Since(start) < d {
+					t0 := time.Now()
+					if err := call(x); err != nil {
+						panic(fmt.Sprintf("apds-bench registry: %v", err))
+					}
+					if record {
+						lats[w] = append(lats[w], float64(time.Since(t0).Microseconds()))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		var all []float64
+		for _, l := range lats {
+			all = append(all, l...)
+		}
+		return all
+	}
+
+	run(d/10+10*time.Millisecond, false) // warmup: prime scratch pools and scheduler
+	start := time.Now()
+	lats := run(d, true)
+	return latencyEntry(lats, time.Since(start))
+}
+
+// pacedCell offers call open loop at rate for d (see openLoop) and keeps
+// only the answered arrivals: queue-full rejections under arrival bursts
+// leave the latency sample rather than failing the cell.
+func pacedCell(rate float64, d time.Duration, call func(tensor.Vector) error) registryBenchEntry {
 	if rate <= 0 {
 		return registryBenchEntry{}
 	}
 	inputs := benchBatchInputs(256, 5)
-	interval := time.Duration(float64(time.Second) / rate)
-	var (
-		mu   sync.Mutex
-		lats []float64
-		wg   sync.WaitGroup
-	)
-	// Absolute-schedule pacing: each arrival slot is start + i*interval, so a
-	// slow slot doesn't push every later slot back (and unlike a ticker, no
-	// slots are silently dropped under scheduler jitter).
-	start := time.Now()
-	for i := 0; time.Since(start) < d; i++ {
-		next := start.Add(time.Duration(i) * interval)
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
+	samples, elapsed := openLoop(rate, d, nil, func(i int64) bool {
+		return call(inputs[i%int64(len(inputs))]) == nil
+	})
+	var lats []float64
+	for _, s := range samples {
+		if s.ok {
+			lats = append(lats, s.micros)
 		}
-		x := inputs[i%len(inputs)]
-		wg.Add(1)
-		go func(x tensor.Vector) {
-			defer wg.Done()
-			t0 := time.Now()
-			if err := call(x); err != nil {
-				return
-			}
-			lat := float64(time.Since(t0).Microseconds())
-			mu.Lock()
-			lats = append(lats, lat)
-			mu.Unlock()
-		}(x)
 	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
+	return latencyEntry(lats, elapsed)
+}
+
+// latencyEntry summarises one cell's successful request latencies
+// (microseconds) over elapsed wall time.
+func latencyEntry(lats []float64, elapsed time.Duration) registryBenchEntry {
 	sort.Float64s(lats)
 	return registryBenchEntry{
 		Requests:  int64(len(lats)),
-		QPS:       float64(len(lats)) / elapsed,
+		QPS:       float64(len(lats)) / elapsed.Seconds(),
 		P50Micros: percentile(lats, 0.50),
 		P95Micros: percentile(lats, 0.95),
 		P99Micros: percentile(lats, 0.99),
 	}
+}
+
+// benchBatchInputs returns n seeded standard-normal input rows of width dim.
+func benchBatchInputs(n, dim int) []tensor.Vector {
+	rng := rand.New(rand.NewSource(7))
+	out := make([]tensor.Vector, n)
+	for i := range out {
+		v := make(tensor.Vector, dim)
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		out[i] = v
+	}
+	return out
 }

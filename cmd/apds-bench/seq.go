@@ -230,3 +230,27 @@ func buildSeqConvNet() (*conv.Net, error) {
 	}
 	return conv.NewNet([]*conv.Conv1D{c1, c2}, head)
 }
+
+// timePerBatch returns the nanoseconds one call of fn takes, measured over
+// enough repetitions to amortize timer noise (at least 5 calls and 200 ms
+// after a warmup call). fn errors panic: benchmark inputs are well-formed by
+// construction.
+func timePerBatch(fn func() error) float64 {
+	check := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("apds-bench seq: %v", err))
+		}
+	}
+	check(fn()) // warmup
+	const (
+		minReps = 5
+		minTime = 200 * time.Millisecond
+	)
+	var reps int
+	var elapsed time.Duration
+	for start := time.Now(); reps < minReps || elapsed < minTime; elapsed = time.Since(start) {
+		check(fn())
+		reps++
+	}
+	return float64(elapsed.Nanoseconds()) / float64(reps)
+}

@@ -116,7 +116,7 @@ func emitSessionsBench(dir string, count, streamDevs int) error {
 	rep := sessionBenchReport{
 		Shape:      fmt.Sprintf("%dch x %d len / stride %d", sessChannels, sessLength, sessStride),
 		Network:    fmt.Sprintf("%d-32-1", sessChannels*sessLength),
-		GOMAXPROCS: maxprocs(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
 

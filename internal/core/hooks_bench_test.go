@@ -11,7 +11,8 @@ import (
 )
 
 // benchPropagator builds the 5-256-256-1 benchmark network of
-// results/BENCH_batch.json and a batch of standard-normal inputs.
+// BenchmarkPropagateBatch64ReLU (bench_test.go) and a batch of
+// standard-normal inputs.
 func benchPropagator(b *testing.B, batch int) (*Propagator, []tensor.Vector) {
 	b.Helper()
 	net, err := nn.New(nn.Config{

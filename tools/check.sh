@@ -1,23 +1,27 @@
 #!/bin/sh
-# check.sh — the repo's pre-merge gate, also reachable as `make check`:
-# vet (also for GOARCH=arm64, so the pure-Go fallbacks of the amd64 kernels
-# compile), build, vet and test the benchmark module (perfbench/ is its own Go
-# module, so `go build ./...` never compiles it), race-test the numeric hot paths AND the observability/serving
-# path (the metrics registry, hooks, the request coalescer, and stream gating
-# are explicitly concurrent), run the oracle-backed differential harness, give
-# each fuzz target a short smoke budget (seed corpora always replay; the extra
-# seconds of mutation catch shallow regressions), gate the activation panel's
-# vector passes against the per-element kernel, check that the quick-scale
-# paper-claim verdicts are identical at GOMAXPROCS=1 and 2, then smoke the batched
-# propagation benchmark with its metrics snapshot and the serving and
-# registry benchmarks, and finally run the sequence-path (conv/RNN/GRU +
-# dense exact-backend) benchmark, a 2-replica cluster smoke, and a 20k
-# session-fleet smoke and diff each against its committed trajectory with
-# tools/benchdiff. Every bench run writes to a scratch directory, so the
-# gate never rewrites a committed file under results/ (regenerate those
-# with `go run ./cmd/apds-bench -batch -obs -results results` /
-# `make bench-serve` / `make bench-registry` / `make bench-cluster` /
-# `make bench-seq` / `make bench-sessions`).
+# check.sh — the repo's pre-merge gate, also reachable as `make check`.
+# In order:
+#   - vet (also for GOARCH=arm64, so the pure-Go fallbacks of the amd64
+#     kernels compile) and build;
+#   - vet and test perfbench/, which is its own Go module, so
+#     `go build ./...` never compiles it;
+#   - race-test the numeric hot paths and the concurrent serving stack:
+#     metrics, hooks, the request coalescer, stream gating, the model
+#     registry, the session fleet, the cluster tier and the sequence paths;
+#   - run the oracle-backed differential harness, and give each fuzz target
+#     a short smoke budget (seed corpora always replay; the extra seconds of
+#     mutation catch shallow regressions);
+#   - gate the activation panel's vector passes against the per-element
+#     kernel, as a same-run ratio;
+#   - check that the quick-scale paper-claim verdicts are identical at
+#     GOMAXPROCS=1 and 2;
+#   - smoke the registry benchmark, then run the cluster (2 replicas),
+#     sequence-path and session-fleet (20k) benchmarks and diff each against
+#     its committed trajectory with tools/benchdiff.
+# The bench smokes run the apds-bench binary built for the verdict check and
+# write to a scratch directory, so the gate never rewrites a committed file
+# under results/ (regenerate those with `make bench-registry` /
+# `make bench-cluster` / `make bench-seq` / `make bench-sessions`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -104,17 +108,11 @@ for p in 1 2; do
 done
 diff "$smokedir/verify-1.txt" "$smokedir/verify-2.txt"
 
-echo "== apds-bench -batch -obs (smoke)"
-go run ./cmd/apds-bench -batch -obs -results "$smokedir"
-
-echo "== apds-bench -serve (smoke)"
-go run ./cmd/apds-bench -serve -serve-duration 200ms -results "$smokedir"
-
 echo "== apds-bench -registry (smoke)"
-go run ./cmd/apds-bench -registry -registry-duration 200ms -results "$smokedir"
+"$smokedir/apds-bench" -registry -registry-duration 200ms -results "$smokedir"
 
 echo "== apds-bench -cluster (2-replica smoke) + benchdiff vs committed trajectory"
-go run ./cmd/apds-bench -cluster -cluster-replicas 2 -cluster-duration 300ms -results "$smokedir"
+"$smokedir/apds-bench" -cluster -cluster-replicas 2 -cluster-duration 300ms -results "$smokedir"
 # The committed file carries the full 4-replica sweep; the smoke's 2-replica
 # prefix pairs with it by scenario index. Loose tolerance: the gate is
 # for the router losing its scaling (speedup) or its latency profile, not for
@@ -122,14 +120,14 @@ go run ./cmd/apds-bench -cluster -cluster-replicas 2 -cluster-duration 300ms -re
 go run ./tools/benchdiff -base results/BENCH_cluster.json -fresh "$smokedir/BENCH_cluster.json" -tol 0.6
 
 echo "== apds-bench -seq + benchdiff vs committed trajectory"
-go run ./cmd/apds-bench -seq -results "$smokedir"
+"$smokedir/apds-bench" -seq -results "$smokedir"
 # Catches a sequence fast path or the dense exact backend silently
 # degenerating (e.g. per-element alloc/abstraction creep), not cross-machine
 # noise.
 go run ./tools/benchdiff -base results/BENCH_seq.json -fresh "$smokedir/BENCH_seq.json" -tol 0.6
 
 echo "== apds-bench -sessions (smoke) + benchdiff vs committed trajectory"
-go run ./cmd/apds-bench -sessions -session-count 20000 -session-stream 5000 -results "$smokedir"
+"$smokedir/apds-bench" -sessions -session-count 20000 -session-stream 5000 -results "$smokedir"
 # The committed file holds 1M resident sessions; the smoke holds 20k. Only
 # the *_per_sec rates are gated (per-item costs are scale-independent and
 # small runs only get faster); absolute durations and counts are *_sec /
