@@ -128,7 +128,7 @@ type (
 
 // Observability re-exports (internal/obs): the dependency-free metrics
 // registry (Prometheus text exposition) and per-request trace spans used by
-// examples/server and cmd/apds-bench -obs.
+// examples/server, whose /metrics scrape the perfbench benchmark reads.
 type (
 	// ObsRegistry holds metric families and renders Prometheus text format.
 	ObsRegistry = obs.Registry
@@ -214,7 +214,7 @@ var CompileProgram = compile.Compile
 // to calling the estimator directly; under load, requests arriving together
 // share one matrix-level pass per layer.
 type (
-	// ServeConfig tunes a coalescer (batch cap, latency budget, queue bound).
+	// ServeConfig tunes a coalescer (batch cap, queue bound, metrics).
 	ServeConfig = serve.Config
 	// ServeMetrics instruments a coalescer into an ObsRegistry.
 	ServeMetrics = serve.Metrics
@@ -223,24 +223,19 @@ type (
 	ServeQueueFullError = serve.QueueFullError
 	// PredictCoalescer coalesces Predict calls onto the batched fast path.
 	PredictCoalescer = serve.PredictCoalescer
-	// ProbsCoalescer coalesces PredictProbs calls the same way.
-	ProbsCoalescer = serve.ProbsCoalescer
 )
 
 // Serving constructors and error classes.
 var (
 	// NewPredictCoalescer builds a coalescer flushing into PredictBatch.
 	NewPredictCoalescer = serve.NewPredict
-	// NewPredictKeyedCoalescer builds a coalescer whose queue is split into
-	// per-tenant FIFOs drained by weighted round-robin, so one hot tenant
-	// cannot starve the rest (ServeConfig.TenantWeights/TenantQueueDepth).
-	NewPredictKeyedCoalescer = serve.NewPredictKeyed
-	// NewProbsCoalescer builds a coalescer flushing into PredictProbsBatch.
-	NewProbsCoalescer = serve.NewPredictProbs
 	// NewServeMetrics registers coalescer metrics on a registry.
 	NewServeMetrics = serve.NewMetrics
 	// ErrServeQueueFull marks rejected requests under overload (HTTP 429).
 	ErrServeQueueFull = serve.ErrQueueFull
+	// ErrServeBatchTooLarge marks a multi-row request with more rows than
+	// the queue can ever hold: not retryable (HTTP 413).
+	ErrServeBatchTooLarge = serve.ErrBatchTooLarge
 	// ServeRetryAfter extracts the retry budget from a queue-full rejection
 	// anywhere in an error chain (HTTP servers render it as Retry-After).
 	ServeRetryAfter = serve.RetryAfter

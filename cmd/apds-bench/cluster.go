@@ -114,10 +114,7 @@ func runClusterReplica(budgetRate float64, listen string) error {
 	if err != nil {
 		return fmt.Errorf("cluster replica: %w", err)
 	}
-	coal, err := serve.New(serve.Config{MaxBatch: 64, MaxWait: 2 * time.Millisecond, QueueDepth: 256},
-		func(batch []tensor.Vector) ([]core.GaussianVec, error) {
-			return core.PredictBatch(est, batch, 0)
-		})
+	coal, err := serve.NewPredict(est, serve.Config{MaxBatch: 64, QueueDepth: 256})
 	if err != nil {
 		return fmt.Errorf("cluster replica: %w", err)
 	}

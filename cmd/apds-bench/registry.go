@@ -78,7 +78,7 @@ func emitRegistryBench(dir string, cell time.Duration) error {
 	obsReg := obs.NewRegistry()
 	met := registry.NewMetrics(obsReg)
 	r := registry.New(registry.Config{
-		Serve:   serve.Config{MaxBatch: 64, MaxWait: 2 * time.Millisecond, QueueDepth: 1024},
+		Serve:   serve.Config{MaxBatch: 64, QueueDepth: 1024},
 		Metrics: met,
 	})
 	defer func() {

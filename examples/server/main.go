@@ -96,7 +96,6 @@ func main() {
 	manifestPath := flag.String("manifest", "", "registry manifest (registry.json) describing models, versions, and routes")
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "manifest poll interval (0 disables hot-reload)")
 	maxBatch := flag.Int("max-batch", 64, "coalescer: max rows per flush")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "coalescer: latency budget of the oldest queued row")
 	queueDepth := flag.Int("queue-depth", 0, "coalescer: queued-row bound before 429s (0 = 4x max-batch)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "shutdown: bound on connection + queue drain")
 	sessionsOn := flag.Bool("sessions", false, "enable the resident session fleet in -model/demo modes (manifest mode uses the \"sessions\" block instead)")
@@ -126,7 +125,6 @@ func main() {
 	}
 	svc, err := newService(*modelPath, *manifestPath, apds.ServeConfig{
 		MaxBatch:   *maxBatch,
-		MaxWait:    *maxWait,
 		QueueDepth: *queueDepth,
 	}, sess)
 	if err != nil {
@@ -533,7 +531,8 @@ func retryAfterSeconds(err error) string {
 }
 
 // predictStatus maps registry and coalescer failures to HTTP semantics: an
-// unknown model is 404, a full queue is overload (429, retryable after
+// unknown model is 404, a batch with more rows than the queue can ever hold
+// is 413 (not retryable), a full queue is overload (429, retryable after
 // backoff), a model with no routable version, a closing registry, or an
 // abandoned request context is the service (or model) going away (503), and
 // anything else is an internal fault (500).
@@ -541,6 +540,8 @@ func predictStatus(err error) int {
 	switch {
 	case errors.Is(err, apds.ErrModelNotFound):
 		return http.StatusNotFound
+	case errors.Is(err, apds.ErrServeBatchTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, apds.ErrServeQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, apds.ErrServeClosed),

@@ -162,7 +162,7 @@ func TestCoalescedMatchesDirect(t *testing.T) {
 
 // blockingEstimator wraps an estimator so every Predict stalls until release
 // closes, signalling started first — the lever that deterministically wedges
-// a version pool's flush worker for overload tests.
+// a version pool's coalescer dispatcher for overload tests.
 type blockingEstimator struct {
 	apds.Estimator
 	started chan struct{}
@@ -176,9 +176,9 @@ func (b *blockingEstimator) Predict(x apds.Vector) (apds.GaussianVec, error) {
 }
 
 // TestHandlePredictQueueFull pins the overload contract end-to-end: with the
-// flush worker wedged and the queue at capacity, the next request gets 429
-// (not a hang, not a 500), and queued requests still complete once the worker
-// frees up.
+// dispatcher wedged in a flush and the queue at capacity, the next request
+// gets 429 (not a hang, not a 500), and queued requests still complete once
+// the flush returns.
 func TestHandlePredictQueueFull(t *testing.T) {
 	net := testNetwork(t, 3)
 	inner, err := apds.New(net, apds.Options{})
@@ -199,13 +199,13 @@ func TestHandlePredictQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Request 1 flushes immediately (idle worker) and wedges on the blocking
+	// Request 1 flushes immediately (idle dispatcher) and wedges on the blocking
 	// estimator; request 2 fills the one queue slot behind it.
 	results := make(chan *httptest.ResponseRecorder, 2)
 	for i := 0; i < 2; i++ {
 		go func() { results <- post(t, svc, `{"input":[0.5,-1]}`) }()
 		if i == 0 {
-			<-est.started // flush worker is now wedged
+			<-est.started // the dispatcher is now wedged
 		} else {
 			deadline := time.Now().Add(5 * time.Second)
 			for v.QueueDepth() != 1 {
@@ -246,6 +246,27 @@ func TestHandlePredictQueueFull(t *testing.T) {
 	}
 }
 
+// TestHandlePredictBatchTooLarge: under the default serve config (MaxBatch
+// 64, QueueDepth 256) a 257-row request can never be admitted, so it gets a
+// 413 with no Retry-After instead of a 429 that no retry could ever clear,
+// while a 256-row request still fits and is served.
+func TestHandlePredictBatchTooLarge(t *testing.T) {
+	svc := testService(t)
+	rows := func(n int) string {
+		return `{"inputs":[` + strings.TrimSuffix(strings.Repeat(`[0.5,-1],`, n), ",") + `]}`
+	}
+	rec := post(t, svc, rows(257))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("257-row status %d, want 413 (%s)", rec.Code, rec.Body)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Errorf("413 carries Retry-After %q; the request can never be admitted", ra)
+	}
+	if rec := post(t, svc, rows(256)); rec.Code != http.StatusOK {
+		t.Errorf("256-row status %d, want 200 (%s)", rec.Code, rec.Body)
+	}
+}
+
 // TestPredictStatus pins the error → HTTP status mapping.
 func TestPredictStatus(t *testing.T) {
 	cases := []struct {
@@ -253,6 +274,7 @@ func TestPredictStatus(t *testing.T) {
 		want int
 	}{
 		{apds.ErrServeQueueFull, http.StatusTooManyRequests},
+		{apds.ErrServeBatchTooLarge, http.StatusRequestEntityTooLarge},
 		{apds.ErrServeClosed, http.StatusServiceUnavailable},
 		{apds.ErrModelNotReady, http.StatusServiceUnavailable},
 		{apds.ErrModelRegistryClosed, http.StatusServiceUnavailable},

@@ -2,9 +2,10 @@
 // metrics registry (counters, gauges, histograms with exponential latency
 // buckets) that renders the Prometheus text exposition format, plus
 // lightweight per-request trace spans. It exists so the serving path
-// (examples/server), the propagation hot paths (internal/core hooks), and
-// the benchmark harness (cmd/apds-bench -obs) can all report into one
-// scrape surface without pulling in a client library.
+// (examples/server) and the propagation hot paths (internal/core hooks) can
+// report into one scrape surface without pulling in a client library; the
+// perfbench benchmark reads its serve.* and per-layer counters from that
+// scrape.
 //
 // All metric types are safe for concurrent use; the update paths are
 // single atomic operations so instrumented hot loops pay no lock.

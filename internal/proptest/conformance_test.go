@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/nn"
@@ -165,7 +164,7 @@ func TestCoalescerVsOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col, err := serve.NewPredict(est, serve.Config{MaxBatch: 2, MaxWait: time.Millisecond})
+			col, err := serve.NewPredict(est, serve.Config{MaxBatch: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,9 @@ func TestCloseConcurrent(t *testing.T) {
 // until the flush completes, and the flushed request must still get its
 // result — drain means drain, even when Close lands mid-batch.
 func TestCloseDuringFlush(t *testing.T) {
-	flushEntered := make(chan struct{})
+	// Buffered: the flush may start before the test goroutine waits for it,
+	// and an unbuffered non-blocking send would then drop the signal.
+	flushEntered := make(chan struct{}, 1)
 	releaseFlush := make(chan struct{})
 	c := mustNew(t, Config{MaxBatch: 1, QueueDepth: 16}, func(reqs []int) ([]int, error) {
 		select {

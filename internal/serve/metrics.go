@@ -16,7 +16,7 @@ import (
 //	apds_serve_batch_rows              rows per flushed batch
 //	apds_serve_queue_wait_seconds      enqueue→flush wait per request
 //	apds_serve_queue_depth             requests currently queued
-//	apds_serve_flushes_total{reason}   flushes by trigger (size|timeout|idle|drain)
+//	apds_serve_flushes_total{reason}   flushes by trigger (size|idle|drain)
 //	apds_serve_rejected_total          requests refused with ErrQueueFull
 //	apds_serve_cancelled_total         queued requests dropped by context end
 type Metrics struct {

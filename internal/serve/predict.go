@@ -12,32 +12,11 @@ import (
 // request (the batched propagation reproduces the per-row path exactly).
 type PredictCoalescer = Coalescer[tensor.Vector, core.GaussianVec]
 
-// ProbsCoalescer is PredictCoalescer for classification probabilities.
-type ProbsCoalescer = Coalescer[tensor.Vector, tensor.Vector]
-
 // NewPredict builds a coalescer whose flushes run est's batched Predict path
 // (core.PredictBatch: the matrix-level fast path for BatchPredictor
 // estimators, a worker-pool fan-out otherwise).
 func NewPredict(est core.Estimator, cfg Config) (*PredictCoalescer, error) {
 	return New(cfg, func(rows []tensor.Vector) ([]core.GaussianVec, error) {
 		return core.PredictBatch(est, rows, 0)
-	})
-}
-
-// NewPredictKeyed is NewPredict with tenant-fair weighted-round-robin drain:
-// tenantOf maps each request row to a tenant (e.g. the fleet prefix of a
-// device ID), and batches are cut round-robin across tenants so one chatty
-// fleet cannot starve the rest (see NewKeyed).
-func NewPredictKeyed(est core.Estimator, cfg Config, tenantOf func(tensor.Vector) string) (*PredictCoalescer, error) {
-	return NewKeyed(cfg, tenantOf, func(rows []tensor.Vector) ([]core.GaussianVec, error) {
-		return core.PredictBatch(est, rows, 0)
-	})
-}
-
-// NewPredictProbs builds a coalescer whose flushes run est's batched
-// classification path (core.PredictProbsBatch).
-func NewPredictProbs(est core.Estimator, cfg Config) (*ProbsCoalescer, error) {
-	return New(cfg, func(rows []tensor.Vector) ([]tensor.Vector, error) {
-		return core.PredictProbsBatch(est, rows, 0)
 	})
 }

@@ -1,11 +1,12 @@
 // Package serve is the dynamic micro-batching layer between concurrent
 // request handlers and the batched moment-propagation fast path: a request
 // coalescer in the Triton/TF-Serving dynamic-batching mold. Concurrent
-// single-row predict requests enqueue into one bounded queue; a dispatcher
-// flushes them as a single batch when a size threshold (MaxBatch) or a
-// latency budget (MaxWait) is hit — or, by default, as soon as a flush
-// worker is idle, so an unloaded server adds no batching latency and batches
-// emerge naturally under load (arrivals accumulate while a flush runs).
+// predict requests enqueue into one bounded FIFO; a single dispatcher
+// goroutine cuts it into batches and runs each flush itself. A batch is cut
+// when the queue reaches MaxBatch, when the dispatcher is idle (after a
+// short linger that lets concurrent arrivals join), or when Close drains the
+// queue. No timer exists: an unloaded server adds no batching latency, and
+// under load batches form from the rows that arrive while a flush runs.
 //
 // The coalescer guarantees:
 //
@@ -19,7 +20,7 @@
 //     Do/DoBatch fail fast with ErrQueueFull beyond that (backpressure, not
 //     buffering) — HTTP servers map this to 429;
 //   - graceful drain: Close stops intake, flushes everything queued, and
-//     waits for in-flight flushes, bounded by the caller's context.
+//     waits for the flush in progress, bounded by the caller's context.
 package serve
 
 import (
@@ -38,6 +39,10 @@ var (
 	// matches it on the *QueueFullError values Do/DoBatch actually return —
 	// explicit backpressure for the caller to surface (HTTP 429).
 	ErrQueueFull = errors.New("serve: queue full")
+	// ErrBatchTooLarge is returned (wrapped) by DoBatch for a request with
+	// more rows than QueueDepth. Such a request can never be admitted, so
+	// it is not a queue-full rejection and carries no retry hint (HTTP 413).
+	ErrBatchTooLarge = errors.New("serve: batch exceeds queue depth")
 	// ErrClosed is returned by Do/DoBatch after Close has begun.
 	ErrClosed = errors.New("serve: coalescer closed")
 	// ErrConfig is returned (wrapped) by New for invalid configurations.
@@ -47,12 +52,12 @@ var (
 // QueueFullError is the typed queue-full rejection: it matches ErrQueueFull
 // under errors.Is and carries a retry budget — how long the caller should
 // back off before the queue has plausibly drained. The hint is the current
-// queue depth times the coalescer's observed per-row service time (an EWMA
-// over recent flushes, divided across flush workers), so a lightly loaded
-// pool hints milliseconds while a deeply backed-up one hints its true drain
-// horizon. HTTP servers surface it as a Retry-After header on 429.
+// queue depth times the coalescer's observed per-row flush time (an EWMA
+// over recent flushes), never below 1ms, so a lightly loaded coalescer hints
+// milliseconds while a deeply backed-up one hints its true drain horizon.
+// HTTP servers surface it as a Retry-After header on 429.
 type QueueFullError struct {
-	// Depth is the queue depth observed at rejection (== QueueDepth).
+	// Depth is the queue depth observed at rejection.
 	Depth int
 	// RetryAfter estimates the time for the present queue to drain.
 	RetryAfter time.Duration
@@ -80,9 +85,7 @@ func RetryAfter(err error) (hint time.Duration, ok bool) {
 const (
 	// ReasonSize: the queue reached MaxBatch.
 	ReasonSize = "size"
-	// ReasonTimeout: the oldest queued request waited out MaxWait.
-	ReasonTimeout = "timeout"
-	// ReasonIdle: a flush worker was idle and eager flushing is on.
+	// ReasonIdle: the dispatcher was free and the queue stopped growing.
 	ReasonIdle = "idle"
 	// ReasonDrain: Close is flushing the remaining queue.
 	ReasonDrain = "drain"
@@ -95,68 +98,26 @@ type Config struct {
 	// reaching it triggers an immediate flush. Defaults to 64 (the knee of
 	// the PropagateBatch speedup curve on the reference net).
 	MaxBatch int
-	// MaxWait is the latency budget: a partial batch is flushed once its
-	// oldest request has waited this long, even if no flush worker is idle.
-	// Defaults to 2ms.
-	MaxWait time.Duration
 	// QueueDepth bounds the number of requests waiting to be batched.
 	// Enqueueing beyond it fails with ErrQueueFull. Defaults to 4×MaxBatch.
 	QueueDepth int
-	// FlushWorkers is the number of goroutines executing flushes; while all
-	// are busy, arrivals accumulate into the next batch. Defaults to 1: the
-	// batched propagation path is internally parallel, so one in-flight
-	// flush already saturates the cores while the next batch forms.
-	FlushWorkers int
-	// StrictWait disables the eager-idle policy: with it set, a partial
-	// batch always waits out MaxWait (or MaxBatch arrivals), even when a
-	// flush worker sits idle. The default (false) flushes immediately when a
-	// worker is idle, which keeps single-request latency at the direct-call
-	// floor and still forms full batches under load.
-	StrictWait bool
 	// Metrics, when non-nil, receives queue/batch/flush observations (see
 	// NewMetrics). A nil Metrics costs nothing on the hot path.
 	Metrics *Metrics
-	// TenantWeights sets per-tenant weighted-round-robin drain shares for a
-	// keyed coalescer (NewKeyed): a tenant with weight k contributes up to k
-	// rows per scheduling turn. Unlisted tenants get weight 1. Only valid
-	// with NewKeyed; every listed weight must be >= 1.
-	TenantWeights map[string]int
-	// TenantQueueDepth, when > 0, additionally bounds how many requests a
-	// single tenant may have queued at once in a keyed coalescer, so one
-	// chatty fleet cannot consume the whole global QueueDepth. Only valid
-	// with NewKeyed.
-	TenantQueueDepth int
 }
 
 func (c *Config) fillDefaults() error {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 4 * c.MaxBatch
-	}
-	if c.FlushWorkers == 0 {
-		c.FlushWorkers = 1
 	}
 	switch {
 	case c.MaxBatch < 1:
 		return fmt.Errorf("MaxBatch %d: %w", c.MaxBatch, ErrConfig)
-	case c.MaxWait < 0:
-		return fmt.Errorf("MaxWait %v: %w", c.MaxWait, ErrConfig)
 	case c.QueueDepth < c.MaxBatch:
 		return fmt.Errorf("QueueDepth %d < MaxBatch %d: %w", c.QueueDepth, c.MaxBatch, ErrConfig)
-	case c.FlushWorkers < 1:
-		return fmt.Errorf("FlushWorkers %d: %w", c.FlushWorkers, ErrConfig)
-	case c.TenantQueueDepth < 0:
-		return fmt.Errorf("TenantQueueDepth %d: %w", c.TenantQueueDepth, ErrConfig)
-	}
-	for name, w := range c.TenantWeights {
-		if w < 1 {
-			return fmt.Errorf("TenantWeights[%q] = %d: %w", name, w, ErrConfig)
-		}
 	}
 	return nil
 }
@@ -177,40 +138,19 @@ type call[Req, Res any] struct {
 	enq time.Time
 }
 
-// tenantFIFO is one tenant's waiting calls inside a keyed coalescer, plus
-// its weighted-round-robin share.
-type tenantFIFO[Req, Res any] struct {
-	calls  []*call[Req, Res]
-	weight int
-}
-
 // Coalescer enqueues concurrent requests and flushes them in batches through
-// a single flush function. Create with New (single shared FIFO) or NewKeyed
-// (per-tenant FIFOs with weighted-round-robin drain); all methods are safe
-// for concurrent use.
+// a single flush function. Create with New; all methods are safe for
+// concurrent use.
 type Coalescer[Req, Res any] struct {
 	cfg   Config
 	flush func([]Req) ([]Res, error)
-	// tenantOf, when non-nil, keys each request to a tenant FIFO (NewKeyed).
-	tenantOf func(Req) string
 
 	mu     sync.Mutex
 	queue  []*call[Req, Res]
 	closed bool
-	// Keyed-mode state (tenantOf != nil): per-tenant FIFOs, the round-robin
-	// ring of tenants with queued work, the drain cursor into it, and the
-	// total queued count. The unkeyed path never touches these.
-	tenants map[string]*tenantFIFO[Req, Res]
-	ring    []string
-	cursor  int
-	total   int
-	// inflight counts batches handed to workers and not yet finished; a
-	// flush worker is genuinely idle iff inflight < FlushWorkers.
-	inflight int
 
-	kick    chan struct{}          // dispatcher wakeup (1-buffered, coalescing)
-	batches chan []*call[Req, Res] // dispatcher → flush workers
-	drained chan struct{}          // closed when dispatcher + workers have exited
+	kick    chan struct{} // dispatcher wakeup (1-buffered, coalescing)
+	drained chan struct{} // closed when the dispatcher has exited
 
 	// rowNanos is an EWMA of per-row flush wall time (float64 bits), updated
 	// after every flush; it prices the RetryAfter hint on QueueFullError.
@@ -221,32 +161,9 @@ type Coalescer[Req, Res any] struct {
 // New builds a Coalescer whose batches are executed by flush. The flush
 // function receives between 1 and MaxBatch requests in submission order and
 // must return one result per request (a short or over-long result slice is
-// reported to every caller in the batch as an error). It may be called
-// concurrently when FlushWorkers > 1.
+// reported to every caller in the batch as an error). It is never called
+// concurrently with itself.
 func New[Req, Res any](cfg Config, flush func([]Req) ([]Res, error)) (*Coalescer[Req, Res], error) {
-	if cfg.TenantWeights != nil || cfg.TenantQueueDepth != 0 {
-		return nil, fmt.Errorf("tenant fairness config requires NewKeyed: %w", ErrConfig)
-	}
-	return newCoalescer(cfg, nil, flush)
-}
-
-// NewKeyed builds a tenant-fair Coalescer: tenantOf maps each request to a
-// tenant, each tenant gets its own FIFO, and batches are cut by weighted
-// round-robin across tenants with queued work (Config.TenantWeights sets the
-// shares; unlisted tenants get 1). A tenant sending requests faster than its
-// share is drained can therefore delay only its own traffic — other tenants'
-// head-of-line latency is bounded by the ring, not by the aggressor's queue
-// length. Within one tenant, requests still flush in submission order, and
-// every per-request guarantee of New (bit-identical results, cancellation,
-// backpressure, drain) is unchanged.
-func NewKeyed[Req, Res any](cfg Config, tenantOf func(Req) string, flush func([]Req) ([]Res, error)) (*Coalescer[Req, Res], error) {
-	if tenantOf == nil {
-		return nil, fmt.Errorf("nil tenantOf function: %w", ErrConfig)
-	}
-	return newCoalescer(cfg, tenantOf, flush)
-}
-
-func newCoalescer[Req, Res any](cfg Config, tenantOf func(Req) string, flush func([]Req) ([]Res, error)) (*Coalescer[Req, Res], error) {
 	if flush == nil {
 		return nil, fmt.Errorf("nil flush function: %w", ErrConfig)
 	}
@@ -254,29 +171,12 @@ func newCoalescer[Req, Res any](cfg Config, tenantOf func(Req) string, flush fun
 		return nil, err
 	}
 	c := &Coalescer[Req, Res]{
-		cfg:      cfg,
-		flush:    flush,
-		tenantOf: tenantOf,
-		kick:     make(chan struct{}, 1),
-		batches:  make(chan []*call[Req, Res]),
-		drained:  make(chan struct{}),
+		cfg:     cfg,
+		flush:   flush,
+		kick:    make(chan struct{}, 1),
+		drained: make(chan struct{}),
 	}
-	if tenantOf != nil {
-		c.tenants = make(map[string]*tenantFIFO[Req, Res])
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.FlushWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.worker()
-		}()
-	}
-	go func() {
-		c.dispatch()
-		wg.Wait()
-		close(c.drained)
-	}()
+	go c.dispatch()
 	return c, nil
 }
 
@@ -291,7 +191,7 @@ func (c *Coalescer[Req, Res]) Do(ctx context.Context, req Req) (Res, error) {
 		return zero, err
 	}
 	it := &call[Req, Res]{ctx: ctx, req: req, res: make(chan result[Res], 1), enq: time.Now()}
-	if err := c.enqueue(it); err != nil {
+	if err := c.enqueue([]*call[Req, Res]{it}); err != nil {
 		return zero, err
 	}
 	select {
@@ -305,12 +205,16 @@ func (c *Coalescer[Req, Res]) Do(ctx context.Context, req Req) (Res, error) {
 // DoBatch enqueues a multi-row request through the same flush pipeline and
 // blocks until every row has a result. Admission is all-or-nothing: if the
 // rows don't fit in the queue, nothing is enqueued and ErrQueueFull is
-// returned, so a large batch cannot partially starve single requests. Rows
-// may be split across flushes (each at most MaxBatch) and are returned in
-// submission order.
+// returned, so a large batch cannot partially starve single requests. A
+// request with more rows than QueueDepth could never fit and fails with
+// ErrBatchTooLarge instead. Rows may be split across flushes (each at most
+// MaxBatch) and are returned in submission order.
 func (c *Coalescer[Req, Res]) DoBatch(ctx context.Context, reqs []Req) ([]Res, error) {
 	if len(reqs) == 0 {
 		return nil, nil
+	}
+	if len(reqs) > c.cfg.QueueDepth {
+		return nil, fmt.Errorf("%w (%d rows, queue depth %d)", ErrBatchTooLarge, len(reqs), c.cfg.QueueDepth)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -320,7 +224,7 @@ func (c *Coalescer[Req, Res]) DoBatch(ctx context.Context, reqs []Req) ([]Res, e
 	for i, r := range reqs {
 		items[i] = &call[Req, Res]{ctx: ctx, req: r, res: make(chan result[Res], 1), enq: now}
 	}
-	if err := c.enqueueAll(items); err != nil {
+	if err := c.enqueue(items); err != nil {
 		return nil, err
 	}
 	out := make([]Res, len(items))
@@ -338,115 +242,32 @@ func (c *Coalescer[Req, Res]) DoBatch(ctx context.Context, reqs []Req) ([]Res, e
 	return out, nil
 }
 
-func (c *Coalescer[Req, Res]) enqueue(it *call[Req, Res]) error {
-	return c.enqueueAll([]*call[Req, Res]{it})
-}
-
-func (c *Coalescer[Req, Res]) enqueueAll(items []*call[Req, Res]) error {
+// enqueue admits items all-or-nothing and wakes the dispatcher.
+func (c *Coalescer[Req, Res]) enqueue(items []*call[Req, Res]) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	depth := c.lenLocked()
-	if depth+len(items) > c.cfg.QueueDepth || !c.admitKeyedLocked(items) {
+	depth := len(c.queue)
+	if depth+len(items) > c.cfg.QueueDepth {
 		c.mu.Unlock()
 		c.cfg.Metrics.reject()
 		return &QueueFullError{Depth: depth, RetryAfter: c.retryAfter(depth)}
 	}
-	if c.tenantOf == nil {
-		c.queue = append(c.queue, items...)
-	} else {
-		for _, it := range items {
-			c.pushKeyedLocked(it)
-		}
-	}
-	depth = c.lenLocked()
+	c.queue = append(c.queue, items...)
+	depth = len(c.queue)
 	c.mu.Unlock()
 	c.cfg.Metrics.depth(depth)
 	c.wake()
 	return nil
 }
 
-// lenLocked returns the total queued count. Caller holds c.mu.
-func (c *Coalescer[Req, Res]) lenLocked() int {
-	if c.tenantOf == nil {
-		return len(c.queue)
-	}
-	return c.total
-}
-
-// admitKeyedLocked checks the per-tenant depth bound for an all-or-nothing
-// admission of items (always true unkeyed or with no per-tenant bound).
-// Caller holds c.mu.
-func (c *Coalescer[Req, Res]) admitKeyedLocked(items []*call[Req, Res]) bool {
-	if c.tenantOf == nil || c.cfg.TenantQueueDepth <= 0 {
-		return true
-	}
-	var added map[string]int
-	for _, it := range items {
-		name := c.tenantOf(it.req)
-		queued := 0
-		if q := c.tenants[name]; q != nil {
-			queued = len(q.calls)
-		}
-		if queued+added[name]+1 > c.cfg.TenantQueueDepth {
-			return false
-		}
-		if added == nil {
-			added = make(map[string]int)
-		}
-		added[name]++
-	}
-	return true
-}
-
-// pushKeyedLocked appends one call to its tenant FIFO, activating the tenant
-// in the round-robin ring if it was idle. Caller holds c.mu.
-func (c *Coalescer[Req, Res]) pushKeyedLocked(it *call[Req, Res]) {
-	name := c.tenantOf(it.req)
-	q := c.tenants[name]
-	if q == nil {
-		w := c.cfg.TenantWeights[name]
-		if w < 1 {
-			w = 1
-		}
-		q = &tenantFIFO[Req, Res]{weight: w}
-		c.tenants[name] = q
-	}
-	if len(q.calls) == 0 {
-		c.ring = append(c.ring, name)
-	}
-	q.calls = append(q.calls, it)
-	c.total++
-}
-
-// oldestLocked returns the enqueue time of the oldest queued call; dispatch
-// uses it to arm the MaxWait timer. Caller holds c.mu and has checked the
-// queue is non-empty.
-func (c *Coalescer[Req, Res]) oldestLocked() time.Time {
-	if c.tenantOf == nil {
-		return c.queue[0].enq
-	}
-	var oldest time.Time
-	for _, name := range c.ring {
-		if head := c.tenants[name].calls[0].enq; oldest.IsZero() || head.Before(oldest) {
-			oldest = head
-		}
-	}
-	return oldest
-}
-
 // retryAfter prices a queue-full rejection: the time for depth queued rows
-// to drain at the observed per-row flush rate, split across flush workers.
-// Before any flush has completed (no rate observation yet) the hint falls
-// back to MaxWait — the latency budget the first flush is bounded by.
+// to drain at the observed per-row flush rate, floored at 1ms (which is also
+// the whole hint before any flush has completed).
 func (c *Coalescer[Req, Res]) retryAfter(depth int) time.Duration {
-	perRow := math.Float64frombits(c.rowNanos.Load())
-	if perRow <= 0 {
-		return c.cfg.MaxWait
-	}
-	d := time.Duration(perRow * float64(depth) / float64(c.cfg.FlushWorkers))
+	d := time.Duration(math.Float64frombits(c.rowNanos.Load()) * float64(depth))
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
@@ -455,23 +276,17 @@ func (c *Coalescer[Req, Res]) retryAfter(depth int) time.Duration {
 
 // observeFlush folds one flush's per-row wall time into the EWMA behind
 // retryAfter. α = 0.2: a few flushes re-center the estimate after a load or
-// batch-shape shift, while single outlier flushes barely move it.
+// batch-shape shift, while single outlier flushes barely move it. Only the
+// dispatcher writes rowNanos; the atomic lets enqueuers read it unlocked.
 func (c *Coalescer[Req, Res]) observeFlush(dur time.Duration, rows int) {
 	if rows <= 0 || dur <= 0 {
 		return
 	}
 	sample := float64(dur.Nanoseconds()) / float64(rows)
-	for {
-		old := c.rowNanos.Load()
-		prev := math.Float64frombits(old)
-		next := sample
-		if prev > 0 {
-			next = 0.8*prev + 0.2*sample
-		}
-		if c.rowNanos.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
+	if prev := math.Float64frombits(c.rowNanos.Load()); prev > 0 {
+		sample = 0.8*prev + 0.2*sample
 	}
+	c.rowNanos.Store(math.Float64bits(sample))
 }
 
 // wake nudges the dispatcher; the 1-buffered channel coalesces bursts.
@@ -483,7 +298,7 @@ func (c *Coalescer[Req, Res]) wake() {
 }
 
 // Close stops intake (subsequent Do/DoBatch return ErrClosed), flushes every
-// queued request, and waits — bounded by ctx — for in-flight flushes to
+// queued request, and waits — bounded by ctx — for the flush in progress to
 // finish. Requests already enqueued complete normally; this is what lets an
 // HTTP server drain on SIGTERM instead of dropping work. Close is
 // idempotent; every call waits for the same drain.
@@ -500,188 +315,81 @@ func (c *Coalescer[Req, Res]) Close(ctx context.Context) error {
 	}
 }
 
-// Depth reports the number of requests currently waiting to be batched
-// (summed across tenants for a keyed coalescer).
+// Depth reports the number of requests currently waiting to be batched.
 func (c *Coalescer[Req, Res]) Depth() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lenLocked()
+	return len(c.queue)
 }
 
-// dispatch is the single scheduling goroutine: it watches the queue and cuts
-// batches when MaxBatch fills, MaxWait expires, a worker is idle (unless
-// StrictWait), or the coalescer is draining. A batch is only ever popped
-// when a flush worker is free, so every waiting request stays in the queue
-// until the moment its flush starts — which is what makes the QueueDepth
-// backpressure bound exact. Exactly one dispatcher exists per Coalescer, so
-// batch formation is race-free by construction.
+// dispatch is the coalescer's one goroutine: it waits for work, cuts a
+// batch, runs the flush itself, and repeats until Close has begun and the
+// queue is empty. A batch is popped only when no flush is running, so every
+// waiting request stays in the queue until the moment its flush starts —
+// which is what makes the QueueDepth backpressure bound exact — and a row
+// with fewer than MaxBatch rows ahead of it waits at most for the flush in
+// progress before its own starts.
 func (c *Coalescer[Req, Res]) dispatch() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
+	defer close(c.drained)
 	for {
 		c.mu.Lock()
-		n := c.lenLocked()
-		closed := c.closed
-		idle := c.inflight < c.cfg.FlushWorkers
-		if n == 0 {
+		if len(c.queue) == 0 {
+			closed := c.closed
 			c.mu.Unlock()
 			if closed {
-				// Workers still mid-flush exit once they finish: closing
-				// the channel ends their receive loop.
-				close(c.batches)
 				return
 			}
 			<-c.kick
 			continue
 		}
-		if !idle {
-			// Nothing can flush until a worker frees up; its finish kicks us.
-			c.mu.Unlock()
-			<-c.kick
-			continue
+		if !c.closed && len(c.queue) < c.cfg.MaxBatch {
+			c.lingerLocked()
 		}
-		reason := ""
+		reason := ReasonIdle
 		switch {
-		case closed:
+		case c.closed:
 			reason = ReasonDrain
-		case n >= c.cfg.MaxBatch:
+		case len(c.queue) >= c.cfg.MaxBatch:
 			reason = ReasonSize
-		case !c.cfg.StrictWait:
-			// An immediate idle flush would cut a batch of whatever happens
-			// to be queued right now — under a concurrent burst that is often
-			// just the first arrival, with its peers runnable but not yet
-			// scheduled (acute on few-core machines, where the flush then
-			// monopolizes the processor and every row flushes alone). Linger
-			// instead: yield the processor while the queue keeps growing, so
-			// concurrent enqueuers join this batch. Each extra round requires
-			// at least one new row, bounding the loop by MaxBatch; a stable
-			// queue exits after one yield, so an isolated request still
-			// flushes with no timer wait.
-			for {
-				prev := c.lenLocked()
-				c.mu.Unlock()
-				runtime.Gosched()
-				c.mu.Lock()
-				if c.lenLocked() <= prev || c.lenLocked() >= c.cfg.MaxBatch || c.closed {
-					break
-				}
-			}
-			// The linger may have filled the batch or raced with Close;
-			// re-derive what this flush is.
-			switch {
-			case c.closed:
-				reason = ReasonDrain
-			case c.lenLocked() >= c.cfg.MaxBatch:
-				reason = ReasonSize
-			default:
-				reason = ReasonIdle
-			}
-		default:
-			wait := time.Until(c.oldestLocked().Add(c.cfg.MaxWait))
-			if wait <= 0 {
-				reason = ReasonTimeout
-			} else {
-				c.mu.Unlock()
-				timer.Reset(wait)
-				select {
-				case <-c.kick:
-					if !timer.Stop() {
-						<-timer.C
-					}
-				case <-timer.C:
-				}
-				continue
-			}
 		}
 		batch := c.take()
-		c.inflight++
 		c.mu.Unlock()
 		c.cfg.Metrics.flushed(reason)
-		// Never blocks meaningfully: inflight < FlushWorkers guarantees a
-		// worker is at (or headed to) its receive.
-		c.batches <- batch
+		c.runBatch(batch)
 	}
 }
 
-// take pops up to MaxBatch calls — FIFO unkeyed, weighted round-robin across
-// tenant FIFOs keyed. Caller holds c.mu.
+// lingerLocked yields the processor while the queue keeps growing, so
+// concurrent enqueuers join the batch about to be cut. Without it an idle
+// flush takes whatever happens to be queued right now — under a concurrent
+// burst that is often just the first arrival, with its peers runnable but
+// not yet scheduled (acute on few-core machines, where the flush then
+// monopolizes the processor and every row flushes alone). Each extra round
+// requires at least one new row, bounding the loop by MaxBatch; a stable
+// queue exits after one yield, so an isolated request flushes with no wait.
+// Caller holds c.mu; it is released across each yield.
+func (c *Coalescer[Req, Res]) lingerLocked() {
+	for {
+		prev := len(c.queue)
+		c.mu.Unlock()
+		runtime.Gosched()
+		c.mu.Lock()
+		if n := len(c.queue); n <= prev || n >= c.cfg.MaxBatch || c.closed {
+			return
+		}
+	}
+}
+
+// take pops up to MaxBatch calls in FIFO order. Caller holds c.mu.
 func (c *Coalescer[Req, Res]) take() []*call[Req, Res] {
-	if c.tenantOf != nil {
-		return c.takeKeyed()
-	}
-	n := len(c.queue)
-	if n > c.cfg.MaxBatch {
-		n = c.cfg.MaxBatch
-	}
+	n := min(len(c.queue), c.cfg.MaxBatch)
 	batch := make([]*call[Req, Res], n)
 	copy(batch, c.queue[:n])
 	rest := copy(c.queue, c.queue[n:])
-	for i := rest; i < len(c.queue); i++ {
-		c.queue[i] = nil // release call pointers for GC
-	}
+	clear(c.queue[rest:]) // release call pointers for GC
 	c.queue = c.queue[:rest]
 	c.cfg.Metrics.depth(rest)
 	return batch
-}
-
-// takeKeyed cuts one batch by weighted round-robin: starting at the drain
-// cursor, each tenant in the ring contributes up to its weight in rows, the
-// ring is circled until the batch fills or the queue empties, and drained-dry
-// tenants drop out of the ring. The cursor persists across batches, so drain
-// opportunity rotates even when every batch is cut at MaxBatch. Caller holds
-// c.mu.
-func (c *Coalescer[Req, Res]) takeKeyed() []*call[Req, Res] {
-	n := c.total
-	if n > c.cfg.MaxBatch {
-		n = c.cfg.MaxBatch
-	}
-	batch := make([]*call[Req, Res], 0, n)
-	for len(batch) < n {
-		if c.cursor >= len(c.ring) {
-			c.cursor = 0
-		}
-		name := c.ring[c.cursor]
-		q := c.tenants[name]
-		take := q.weight
-		if take > n-len(batch) {
-			take = n - len(batch)
-		}
-		if take > len(q.calls) {
-			take = len(q.calls)
-		}
-		batch = append(batch, q.calls[:take]...)
-		rest := copy(q.calls, q.calls[take:])
-		for i := rest; i < len(q.calls); i++ {
-			q.calls[i] = nil // release call pointers for GC
-		}
-		q.calls = q.calls[:rest]
-		if rest == 0 {
-			// Tenant drained: drop it from the ring and the map (tenant
-			// cardinality is caller-controlled, so idle tenants must not
-			// accumulate). The cursor now points at the next tenant already.
-			c.ring = append(c.ring[:c.cursor], c.ring[c.cursor+1:]...)
-			delete(c.tenants, name)
-		} else {
-			c.cursor++
-		}
-	}
-	c.total -= len(batch)
-	c.cfg.Metrics.depth(c.total)
-	return batch
-}
-
-// worker executes batches until the dispatcher closes the channel.
-func (c *Coalescer[Req, Res]) worker() {
-	for batch := range c.batches {
-		c.runBatch(batch)
-		c.mu.Lock()
-		c.inflight--
-		c.mu.Unlock()
-		c.wake()
-	}
 }
 
 // runBatch drops cancelled calls, executes the flush over the survivors, and
@@ -723,7 +431,7 @@ func (c *Coalescer[Req, Res]) runBatch(batch []*call[Req, Res]) {
 
 // safeFlush converts a panicking flush function into a per-batch error: a
 // misbehaving model must fail the batch's callers, never hang them behind a
-// dead worker.
+// dead dispatcher.
 func (c *Coalescer[Req, Res]) safeFlush(reqs []Req) (ress []Res, err error) {
 	defer func() {
 		if r := recover(); r != nil {

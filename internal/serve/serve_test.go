@@ -53,9 +53,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad := []Config{
 		{MaxBatch: -1},
-		{MaxWait: -time.Millisecond},
 		{MaxBatch: 8, QueueDepth: 4},
-		{FlushWorkers: -2},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg, echoFlush(nil, nil)); !errors.Is(err, ErrConfig) {
@@ -124,7 +122,7 @@ func TestDoBatchOrderAndSplit(t *testing.T) {
 }
 
 // blockedCoalescer bundles a coalescer whose flushes signal on started and
-// then block until release is closed, so tests can hold the worker busy
+// then block until release is closed, so tests can hold the dispatcher busy
 // while they fill the queue.
 type blockedCoalescer struct {
 	c       *Coalescer[int, int]
@@ -152,9 +150,9 @@ func newBlockedCoalescer(t *testing.T, cfg Config) *blockedCoalescer {
 	return b
 }
 
-// occupyWorker issues one request and waits until its flush has started, so
-// the (single) flush worker is provably stuck in the flush function.
-func (b *blockedCoalescer) occupyWorker(t *testing.T, wg *sync.WaitGroup) {
+// occupyDispatcher issues one request and waits until its flush has started,
+// so the dispatcher is provably stuck in the flush function.
+func (b *blockedCoalescer) occupyDispatcher(t *testing.T, wg *sync.WaitGroup) {
 	t.Helper()
 	wg.Add(1)
 	go func() {
@@ -170,11 +168,11 @@ func (b *blockedCoalescer) occupyWorker(t *testing.T, wg *sync.WaitGroup) {
 	}
 }
 
-// fillQueue occupies the flush worker and then fills the queue to depth.
+// fillQueue occupies the dispatcher and then fills the queue to depth.
 func (b *blockedCoalescer) fillQueue(t *testing.T, depth int) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
-	b.occupyWorker(t, &wg)
+	b.occupyDispatcher(t, &wg)
 	for i := 1; i <= depth; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -217,6 +215,11 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if got := m.rejected.Value(); got != 2 {
 		t.Errorf("rejected counter = %v, want 2", got)
 	}
+	// The occupying row flushed alone on an idle dispatcher; the full queue
+	// behind it flushed on size the moment that flush returned.
+	if idle, size := m.flushes.With(ReasonIdle).Value(), m.flushes.With(ReasonSize).Value(); idle != 1 || size != 1 {
+		t.Errorf("flushes idle=%v size=%v, want 1 and 1", idle, size)
+	}
 	// After the drain, the queue accepts again.
 	if got, err := b.c.Do(context.Background(), 21); err != nil || got != 42 {
 		t.Errorf("Do after drain = (%d, %v), want (42, nil)", got, err)
@@ -229,7 +232,7 @@ func TestContextCancellationMidQueue(t *testing.T) {
 	b := newBlockedCoalescer(t, Config{MaxBatch: 8, QueueDepth: 8, Metrics: m})
 
 	var wg sync.WaitGroup
-	b.occupyWorker(t, &wg)
+	b.occupyDispatcher(t, &wg)
 
 	// Queue one request and cancel it while it waits.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -261,48 +264,11 @@ func TestContextCancellationMidQueue(t *testing.T) {
 	}
 }
 
-func TestStrictWaitTimerFlush(t *testing.T) {
-	var sizes []int
-	var mu sync.Mutex
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
-	c := mustNew(t, Config{MaxBatch: 64, MaxWait: 5 * time.Millisecond, StrictWait: true, Metrics: m},
-		echoFlush(&sizes, &mu))
-
-	// A lone request must wait out MaxWait, then flush with reason=timeout.
-	start := time.Now()
-	if got, err := c.Do(context.Background(), 3); err != nil || got != 6 {
-		t.Fatalf("Do = (%d, %v)", got, err)
-	}
-	if waited := time.Since(start); waited < 5*time.Millisecond {
-		t.Errorf("strict-wait flush after %v, want >= MaxWait (5ms)", waited)
-	}
-	if got := m.flushes.With(ReasonTimeout).Value(); got != 1 {
-		t.Errorf("timeout flushes = %v, want 1", got)
-	}
-
-	// MaxBatch simultaneous requests must flush on size, well before MaxWait.
-	c2 := mustNew(t, Config{MaxBatch: 4, MaxWait: time.Hour, StrictWait: true, Metrics: m},
-		echoFlush(&sizes, &mu))
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c2.Do(context.Background(), i); err != nil {
-				t.Errorf("Do(%d): %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := m.flushes.With(ReasonSize).Value(); got < 1 {
-		t.Errorf("size flushes = %v, want >= 1", got)
-	}
-}
-
 func TestEagerIdleFlushIsImmediate(t *testing.T) {
-	// With the default eager-idle policy a lone request must NOT pay MaxWait.
-	c := mustNew(t, Config{MaxBatch: 64, MaxWait: time.Hour}, echoFlush(nil, nil))
+	// A lone request flushes as soon as the dispatcher is free: no timer
+	// holds a partial batch back.
+	m := NewMetrics(obs.NewRegistry())
+	c := mustNew(t, Config{MaxBatch: 64, Metrics: m}, echoFlush(nil, nil))
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Do(context.Background(), 1)
@@ -314,7 +280,10 @@ func TestEagerIdleFlushIsImmediate(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("eager-idle flush did not happen (request stuck behind MaxWait)")
+		t.Fatal("idle flush did not happen (request stuck in the queue)")
+	}
+	if got := m.flushes.With(ReasonIdle).Value(); got != 1 {
+		t.Errorf("idle flushes = %v, want 1", got)
 	}
 }
 
@@ -355,7 +324,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 func TestCloseHonorsContext(t *testing.T) {
 	b := newBlockedCoalescer(t, Config{MaxBatch: 4, QueueDepth: 4})
 	var wg sync.WaitGroup
-	b.occupyWorker(t, &wg)
+	b.occupyDispatcher(t, &wg)
 	defer func() {
 		close(b.release) // let the stuck flush finish so Cleanup can drain
 		wg.Wait()
@@ -385,7 +354,7 @@ func TestFlushPanicBecomesError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "kernel exploded") {
 		t.Fatalf("Do err = %v, want panic converted to error", err)
 	}
-	// The worker must survive the panic and serve the next request.
+	// The dispatcher must survive the panic and serve the next request.
 	if _, err := c.Do(context.Background(), 2); err == nil || !strings.Contains(err.Error(), "kernel exploded") {
 		t.Fatalf("second Do err = %v, want panic converted to error", err)
 	}
@@ -461,15 +430,18 @@ func TestPredictBitIdentity(t *testing.T) {
 // tools/check.sh): hundreds of concurrent callers against a tiny queue, a
 // slow flush, and random mid-queue cancellations. Every call must resolve to
 // exactly one of {result, ErrQueueFull, context error}; nothing may hang,
-// and surviving results must be correct.
+// surviving results must be correct, and the flush function must never be
+// entered while another call of it is still running.
 func TestStressRandomCancellation(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	c := mustNew(t, Config{
-		MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueDepth: 32,
-		FlushWorkers: 2, Metrics: m,
-	}, func(reqs []int) ([]int, error) {
-		time.Sleep(50 * time.Microsecond) // hold workers busy so queues build
+	var inFlush atomic.Int32
+	c := mustNew(t, Config{MaxBatch: 8, QueueDepth: 32, Metrics: m}, func(reqs []int) ([]int, error) {
+		if n := inFlush.Add(1); n != 1 {
+			t.Errorf("flush entered with %d calls in flight, want 1", n)
+		}
+		defer inFlush.Add(-1)
+		time.Sleep(50 * time.Microsecond) // hold the dispatcher busy so the queue builds
 		out := make([]int, len(reqs))
 		for i, r := range reqs {
 			out[i] = 2 * r
@@ -526,11 +498,11 @@ func TestStressRandomCancellation(t *testing.T) {
 
 // TestQueueFullRetryAfter pins the typed rejection: a full queue returns a
 // *QueueFullError that matches ErrQueueFull, reports the observed depth, and
-// carries a retry budget — MaxWait before any flush has calibrated the rate,
-// the EWMA-priced drain estimate afterwards (checked deterministically via
-// observeFlush below, not wall clocks).
+// carries a retry budget — the 1ms floor before any flush has calibrated the
+// rate, the EWMA-priced drain estimate afterwards (checked deterministically
+// via observeFlush below, not wall clocks).
 func TestQueueFullRetryAfter(t *testing.T) {
-	b := newBlockedCoalescer(t, Config{MaxBatch: 4, QueueDepth: 4, MaxWait: 5 * time.Millisecond})
+	b := newBlockedCoalescer(t, Config{MaxBatch: 4, QueueDepth: 4})
 	wg := b.fillQueue(t, 4)
 
 	_, err := b.c.Do(context.Background(), 99)
@@ -544,9 +516,9 @@ func TestQueueFullRetryAfter(t *testing.T) {
 	if qf.Depth != 4 {
 		t.Errorf("QueueFullError.Depth = %d, want 4", qf.Depth)
 	}
-	// No flush has completed: the hint is the MaxWait fallback.
-	if qf.RetryAfter != 5*time.Millisecond {
-		t.Errorf("uncalibrated RetryAfter = %v, want MaxWait (5ms)", qf.RetryAfter)
+	// No flush has completed: the hint is the 1ms floor.
+	if qf.RetryAfter != time.Millisecond {
+		t.Errorf("uncalibrated RetryAfter = %v, want the 1ms floor", qf.RetryAfter)
 	}
 	if hint, ok := RetryAfter(err); !ok || hint != qf.RetryAfter {
 		t.Errorf("RetryAfter(err) = (%v, %v), want (%v, true)", hint, ok, qf.RetryAfter)
@@ -564,30 +536,52 @@ func TestQueueFullRetryAfter(t *testing.T) {
 // TestRetryAfterRateMath drives the EWMA directly so the drain-estimate
 // arithmetic is pinned without depending on scheduler timing.
 func TestRetryAfterRateMath(t *testing.T) {
-	c := mustNew(t, Config{MaxBatch: 4, QueueDepth: 16, FlushWorkers: 2, MaxWait: 7 * time.Millisecond},
-		func(reqs []int) ([]int, error) { return reqs, nil })
-	defer c.Close(context.Background())
+	c := mustNew(t, Config{MaxBatch: 4, QueueDepth: 16}, func(reqs []int) ([]int, error) { return reqs, nil })
 
-	if got := c.retryAfter(8); got != 7*time.Millisecond {
-		t.Errorf("retryAfter before calibration = %v, want MaxWait (7ms)", got)
+	if got := c.retryAfter(8); got != time.Millisecond {
+		t.Errorf("retryAfter before calibration = %v, want the 1ms floor", got)
 	}
 	c.observeFlush(10*time.Millisecond, 10) // first sample: 1ms/row
-	// 8 rows at 1ms/row across 2 workers = 4ms.
-	if got := c.retryAfter(8); got != 4*time.Millisecond {
-		t.Errorf("retryAfter(8) after 1ms/row = %v, want 4ms", got)
+	if got := c.retryAfter(8); got != 8*time.Millisecond {
+		t.Errorf("retryAfter(8) after 1ms/row = %v, want 8ms", got)
 	}
 	c.observeFlush(30*time.Millisecond, 10) // 3ms/row sample → EWMA 1.4ms/row
-	if got := c.retryAfter(10); got != 7*time.Millisecond {
-		t.Errorf("retryAfter(10) after EWMA update = %v, want 7ms", got)
+	if got := c.retryAfter(10); got != 14*time.Millisecond {
+		t.Errorf("retryAfter(10) after EWMA update = %v, want 14ms", got)
 	}
 	// The floor keeps the hint meaningful for tiny queues and fast models.
-	if got := c.retryAfter(1); got != time.Millisecond {
-		t.Errorf("retryAfter(1) = %v, want the 1ms floor", got)
+	if got := c.retryAfter(0); got != time.Millisecond {
+		t.Errorf("retryAfter(0) = %v, want the 1ms floor", got)
 	}
 	// Degenerate observations must not poison the estimate.
 	c.observeFlush(0, 4)
 	c.observeFlush(time.Millisecond, 0)
-	if got := c.retryAfter(10); got != 7*time.Millisecond {
-		t.Errorf("retryAfter(10) after degenerate samples = %v, want 7ms", got)
+	if got := c.retryAfter(10); got != 14*time.Millisecond {
+		t.Errorf("retryAfter(10) after degenerate samples = %v, want 14ms", got)
+	}
+}
+
+// TestDoBatchTooLarge: a request with more rows than QueueDepth can never be
+// admitted, so it must fail at once with ErrBatchTooLarge — not with a
+// retryable queue-full rejection — while a batch of exactly QueueDepth rows
+// is still served.
+func TestDoBatchTooLarge(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	c := mustNew(t, Config{MaxBatch: 4, QueueDepth: 8, Metrics: m}, echoFlush(nil, nil))
+	_, err := c.DoBatch(context.Background(), make([]int, 9))
+	if !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("DoBatch(9 rows) err = %v, want ErrBatchTooLarge", err)
+	}
+	if errors.Is(err, ErrQueueFull) {
+		t.Error("oversized batch matches ErrQueueFull; it is not retryable")
+	}
+	if hint, ok := RetryAfter(err); ok {
+		t.Errorf("oversized batch carries retry hint %v", hint)
+	}
+	if got := m.rejected.Value(); got != 0 {
+		t.Errorf("rejected counter = %v, want 0 (no backpressure happened)", got)
+	}
+	if out, err := c.DoBatch(context.Background(), make([]int, 8)); err != nil || len(out) != 8 {
+		t.Errorf("DoBatch(8 rows) = (%d results, %v), want 8 and nil", len(out), err)
 	}
 }

@@ -166,6 +166,16 @@ func TestConcurrentHammer(t *testing.T) {
 		rs.Escalated != st.Escalated || rs.NonFinite != st.NonFinite {
 		t.Fatalf("replay stats %+v != concurrent stats %+v", rs, st)
 	}
+
+	// Close stops intake for every device, resident or new.
+	if err := concurrent.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []string{"fleet0/dev1", "new"} {
+		if _, err := concurrent.Ingest(context.Background(), dev, []float64{1, 1}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("ingest %q after Close: err = %v, want ErrClosed", dev, err)
+		}
+	}
 }
 
 type discardWriter struct{}

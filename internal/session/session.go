@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/hashkey"
-	"github.com/apdeepsense/apdeepsense/internal/serve"
 	"github.com/apdeepsense/apdeepsense/internal/stream"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
@@ -30,10 +28,10 @@ var (
 const maxDeviceID = 255
 
 // PredictBatchFunc runs the model's batched uncertainty path over a set of
-// standardized windows. The manager calls it with 1..MaxBatch rows; it must
-// return exactly one GaussianVec per row. Wrapping a registry keeps the
-// fleet hot-swap safe: the closure resolves the live model version at call
-// time.
+// standardized windows. The manager calls it with one row per completed
+// window; it must return exactly one GaussianVec per row. Wrapping a
+// registry keeps the fleet hot-swap safe: the closure resolves the live
+// model version at call time, and its coalescer batches concurrent windows.
 type PredictBatchFunc func(ctx context.Context, rows []tensor.Vector) ([]core.GaussianVec, error)
 
 // Config tunes a Manager. The zero value is invalid: Channels, Length, and
@@ -76,15 +74,6 @@ type Config struct {
 	// Calibrator maps surprisal z-scores to actionable scores. Defaults to
 	// DefaultCalibrator().
 	Calibrator *Calibrator
-	// Batching, when non-nil, routes predictions through a tenant-fair
-	// keyed coalescer (serve.NewKeyed) so concurrent ingests from many
-	// devices flush as batches and no single fleet can starve the others.
-	// Nil predicts directly, one window per call.
-	Batching *serve.Config
-	// TenantOf maps a device ID to its fairness tenant for Batching.
-	// Defaults to the prefix before the first '/' (fleet/device naming),
-	// or the whole ID when there is none.
-	TenantOf func(deviceID string) string
 	// Metrics, when non-nil, receives fleet observations (see NewMetrics).
 	Metrics *Metrics
 	// Clock overrides time.Now for idle-eviction bookkeeping (tests).
@@ -128,14 +117,6 @@ func (c *Config) fillDefaults() error {
 	if c.Calibrator == nil {
 		c.Calibrator = DefaultCalibrator()
 	}
-	if c.TenantOf == nil {
-		c.TenantOf = func(deviceID string) string {
-			if i := strings.IndexByte(deviceID, '/'); i >= 0 {
-				return deviceID[:i]
-			}
-			return deviceID
-		}
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -177,13 +158,6 @@ type Stats struct {
 	Accepted        int64 // windows gated Accept
 	Escalated       int64 // windows gated Escalate
 	NonFinite       int64 // escalations caused by degenerate predictions
-}
-
-// ingestRow is one window headed to the batching coalescer, tagged with the
-// device for tenant-fair scheduling.
-type ingestRow struct {
-	device string
-	row    tensor.Vector
 }
 
 // shard is one lock stripe of the session arena. All per-session state
@@ -234,7 +208,6 @@ type Manager struct {
 	cfg     Config
 	winDim  int
 	predict PredictBatchFunc
-	coal    *serve.Coalescer[ingestRow, core.GaussianVec]
 
 	shards []*shard
 	mask   uint64
@@ -294,21 +267,6 @@ func NewManager(cfg Config, predict PredictBatchFunc) (*Manager, error) {
 			}
 		}
 		m.shards[i] = sh
-	}
-	if cfg.Batching != nil {
-		coal, err := serve.NewKeyed(*cfg.Batching,
-			func(r ingestRow) string { return cfg.TenantOf(r.device) },
-			func(rows []ingestRow) ([]core.GaussianVec, error) {
-				xs := make([]tensor.Vector, len(rows))
-				for i, r := range rows {
-					xs[i] = r.row
-				}
-				return predict(context.Background(), xs)
-			})
-		if err != nil {
-			return nil, err
-		}
-		m.coal = coal
 	}
 	return m, nil
 }
@@ -536,7 +494,7 @@ func (m *Manager) Ingest(ctx context.Context, deviceID string, sample []float64)
 	gen := sh.gen[slot]
 	sh.mu.Unlock()
 
-	pred, err := m.doPredict(ctx, deviceID, tensor.Vector(x))
+	pred, err := m.doPredict(ctx, tensor.Vector(x))
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -631,12 +589,8 @@ func (m *Manager) Ingest(ctx context.Context, deviceID string, sample []float64)
 	}, nil
 }
 
-// doPredict runs one window through the coalescer when batching is on, or
-// straight through the predict function otherwise.
-func (m *Manager) doPredict(ctx context.Context, deviceID string, x tensor.Vector) (core.GaussianVec, error) {
-	if m.coal != nil {
-		return m.coal.Do(ctx, ingestRow{device: deviceID, row: x})
-	}
+// doPredict runs one window through the predict function.
+func (m *Manager) doPredict(ctx context.Context, x tensor.Vector) (core.GaussianVec, error) {
 	preds, err := m.predict(ctx, []tensor.Vector{x})
 	if err != nil {
 		return core.GaussianVec{}, err
@@ -739,13 +693,10 @@ func (m *Manager) Run(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// Close stops intake (Ingest returns ErrClosed) and drains the batching
-// coalescer if one is configured, bounded by ctx. Sessions stay resident
-// for a final Snapshot.
+// Close stops intake: Ingest returns ErrClosed afterwards. Sessions stay
+// resident for a final Snapshot. Close holds no queue of its own, so it
+// never blocks and always returns nil; ctx is unused.
 func (m *Manager) Close(ctx context.Context) error {
 	m.closed.Store(true)
-	if m.coal != nil {
-		return m.coal.Close(ctx)
-	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
-	"github.com/apdeepsense/apdeepsense/internal/serve"
 	"github.com/apdeepsense/apdeepsense/internal/stream"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
@@ -345,51 +344,6 @@ func TestIdleEviction(t *testing.T) {
 	}
 	if st := m.Stats(); st.EvictedIdle != 2 {
 		t.Fatalf("EvictedIdle = %d, want 2", st.EvictedIdle)
-	}
-}
-
-// TestBatchingCoalescer: with Batching configured, concurrent ingests flow
-// through the tenant-fair coalescer and verdicts still come back per
-// device.
-func TestBatchingCoalescer(t *testing.T) {
-	m, err := NewManager(Config{
-		Channels: 1, Length: 2, Stride: 2,
-		Batching: &serve.Config{MaxBatch: 16, QueueDepth: 256},
-	}, testPredict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close(context.Background())
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			dev := "fleet" + string(rune('0'+g)) + "/dev"
-			for i := 0; i < 40; i++ {
-				v, err := m.Ingest(ctx, dev, []float64{1})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if v.Window && len(v.Pred.Mean) != 1 {
-					t.Errorf("bad prediction shape %d", len(v.Pred.Mean))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := m.Stats()
-	if st.Windows != 8*20 {
-		t.Fatalf("windows = %d, want %d", st.Windows, 8*20)
-	}
-	if err := m.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Ingest(ctx, "x", []float64{1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ingest after close: err = %v, want ErrClosed", err)
 	}
 }
 

@@ -6,8 +6,9 @@
 #   - vet and test perfbench/, which is its own Go module, so
 #     `go build ./...` never compiles it;
 #   - race-test the numeric hot paths and the concurrent serving stack:
-#     metrics, hooks, the request coalescer, stream gating, the model
-#     registry, the session fleet, the cluster tier and the sequence paths;
+#     metrics, hooks, the request coalescer (its lifecycle tests repeated at
+#     -cpu 1,4), stream gating, the model registry, the session fleet, the
+#     cluster tier and the sequence paths;
 #   - run the oracle-backed differential harness, and give each fuzz target
 #     a short smoke budget (seed corpora always replay; the extra seconds of
 #     mutation catch shallow regressions);
@@ -44,6 +45,12 @@ go test -race ./internal/core/... ./internal/tensor/... ./internal/compile/... .
 
 echo "== go test -race (observability + serving path)"
 go test -race ./internal/obs/... ./internal/stream/... ./internal/serve/... ./examples/server/...
+
+# The coalescer's dispatcher runs each flush itself, so a lost wakeup shows
+# up as a hang: repeat the lifecycle tests at 1 and 4 procs under a timeout.
+echo "== go test -race (coalescer lifecycle: -cpu 1,4 -count 3)"
+go test -race -cpu 1,4 -count 3 -timeout 120s \
+	-run 'TestStressRandomCancellation|TestCloseDuringFlush|TestCloseDrainsQueue|TestDoBatchOrderAndSplit' ./internal/serve
 
 echo "== go test -race (model registry: hot-swap, shadow, manifest reload)"
 go test -race ./internal/registry/...
