@@ -20,7 +20,6 @@ import (
 	"io"
 
 	"github.com/apdeepsense/apdeepsense/internal/cluster"
-	"github.com/apdeepsense/apdeepsense/internal/compile"
 	"github.com/apdeepsense/apdeepsense/internal/conv"
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/datasets"
@@ -184,29 +183,6 @@ var (
 	// NewGaussianBatch allocates a zero batch of b Gaussians of dimension d.
 	NewGaussianBatch = core.NewGaussianBatch
 )
-
-// Compiled-propagator re-exports (internal/compile): load-time specialization
-// of the whole network into fused per-layer closures. The propagator's own
-// engine now packs the same W/W² dual panels and runs the same kernels on
-// every entry point, so a compiled program is no faster and nothing installs
-// one by default. These names remain for existing callers only.
-type (
-	// CompiledProgram is a network specialized at load time for a max batch.
-	//
-	// Deprecated: the Propagator's engine runs the same packed dual-panel
-	// kernels; use the Estimator or Propagator directly.
-	CompiledProgram = compile.Program
-	// CompiledBatch is the interface batch dispatch accepts via SetCompiled.
-	//
-	// Deprecated: see CompiledProgram.
-	CompiledBatch = core.CompiledBatch
-)
-
-// CompileProgram specializes p's network into a compiled program covering
-// batches of 1..maxBatch rows.
-//
-// Deprecated: see CompiledProgram.
-var CompileProgram = compile.Compile
 
 // Serving re-exports (internal/serve): the dynamic micro-batching layer that
 // coalesces concurrent single-row predict requests onto the batched

@@ -394,6 +394,18 @@ func decodePredict(body io.Reader) (predictRequest, error) {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// finiteAll reports whether every value in vs is finite. A finite input can
+// still drive a prediction's moments past float64 range, and JSON cannot
+// carry NaN or ±Inf.
+func finiteAll(vs []float64) bool {
+	for _, v := range vs {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // handlePredict is the legacy single-model endpoint: it serves the model
 // named "default" through the registry.
 func (s *service) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -470,6 +482,11 @@ func (s *service) servePredict(w http.ResponseWriter, r *http.Request, modelName
 		}
 		served = sv
 		resp.Mean, resp.Std = g.Mean, stds(g)
+		if !finiteAll(resp.Mean) || !finiteAll(resp.Std) {
+			span.End()
+			http.Error(w, "prediction for input is not finite", http.StatusUnprocessableEntity)
+			return
+		}
 	} else {
 		inputs := make([]apds.Vector, len(req.Inputs))
 		for i, x := range req.Inputs {
@@ -488,6 +505,11 @@ func (s *service) servePredict(w http.ResponseWriter, r *http.Request, modelName
 		resp.Results = make([]sampleResult, len(gs))
 		for i, g := range gs {
 			resp.Results[i] = sampleResult{Mean: g.Mean, Std: stds(g)}
+			if !finiteAll(resp.Results[i].Mean) || !finiteAll(resp.Results[i].Std) {
+				span.End()
+				http.Error(w, fmt.Sprintf("prediction for inputs[%d] is not finite", i), http.StatusUnprocessableEntity)
+				return
+			}
 		}
 	}
 	resp.HostMicros = time.Since(start).Microseconds()

@@ -200,7 +200,9 @@ type ingestRequest struct {
 
 // ingestResponse is one sample's verdict. The gate fields are meaningful
 // only when Window is true (the sample completed a window and the model
-// ran); otherwise the sample just advanced the ring.
+// ran); otherwise the sample just advanced the ring. Mean and Std are
+// omitted when any of their values is not finite, and MeanStd when it is
+// not finite, as on every Degenerate verdict: JSON cannot carry NaN or ±Inf.
 type ingestResponse struct {
 	Window     bool      `json:"window"`
 	Mean       []float64 `json:"mean,omitempty"`
@@ -237,8 +239,13 @@ func (s *service) handleSessionIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ingestResponse{Window: v.Window}
 	if v.Window {
-		resp.Mean, resp.Std = v.Pred.Mean, stds(v.Pred)
-		resp.MeanStd, resp.Z, resp.Score = v.MeanStd, v.Z, v.Score
+		if std := stds(v.Pred); finiteAll(v.Pred.Mean) && finiteAll(std) {
+			resp.Mean, resp.Std = v.Pred.Mean, std
+		}
+		if finite(v.MeanStd) {
+			resp.MeanStd = v.MeanStd
+		}
+		resp.Z, resp.Score = v.Z, v.Score
 		resp.Decision = v.Decision.String()
 		resp.Degenerate = v.Degenerate
 	}

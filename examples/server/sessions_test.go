@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -277,5 +278,43 @@ func TestSessionManifestSettings(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fleet.apsf")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNonFinitePrediction: a finite input can still drive the network's
+// moments past float64 range. /predict answers 422 naming the row instead
+// of a 200 with an empty body, and an ingest answers a degenerate escalate
+// verdict without the non-finite fields JSON cannot carry.
+func TestNonFinitePrediction(t *testing.T) {
+	sess := sessionTestSettings("")
+	sess.cfg.Standardize = false
+	svc := sessionTestService(t, sess)
+	mux := svc.mux()
+
+	for _, tc := range []struct{ body, row string }{
+		{`{"input":[1e300,1e300]}`, "input"},
+		{`{"inputs":[[0.5,-1],[1e300,1e300]]}`, "inputs[1]"},
+	} {
+		rec := do(t, mux, http.MethodPost, "/v1/models/default/predict", tc.body)
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), tc.row) {
+			t.Fatalf("%s: status %d body %q, want 422 naming %s", tc.body, rec.Code, rec.Body, tc.row)
+		}
+	}
+
+	rec := do(t, mux, http.MethodPost, "/v1/sessions/dev1/ingest", ingestBody(1e300, 1e300))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", rec.Code, rec.Body)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatalf("ingest body %q: %v", rec.Body, err)
+	}
+	if raw["window"] != true || raw["decision"] != "escalate" || raw["degenerate"] != true {
+		t.Fatalf("ingest verdict %s, want a degenerate escalate window", rec.Body)
+	}
+	for _, k := range []string{"mean", "std", "mean_std"} {
+		if _, ok := raw[k]; ok {
+			t.Fatalf("ingest verdict %s carries %q", rec.Body, k)
+		}
 	}
 }

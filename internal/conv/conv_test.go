@@ -91,8 +91,8 @@ func TestConvChannelMismatch(t *testing.T) {
 	if _, err := l.ForwardSample(x, rng); !errors.Is(err, ErrConfig) {
 		t.Errorf("ForwardSample err = %v", err)
 	}
-	if _, err := l.PropagateMoments(DeterministicSeq(x), piecewise.Identity()); !errors.Is(err, ErrConfig) {
-		t.Errorf("PropagateMoments err = %v", err)
+	if _, err := l.PropagateMomentsKernel(DeterministicSeq(x), core.NewActKernel(piecewise.Identity())); !errors.Is(err, ErrConfig) {
+		t.Errorf("PropagateMomentsKernel err = %v", err)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestConvMomentsVsMonteCarlo(t *testing.T) {
 			g.Mean.Data[i] = rng.NormFloat64()
 			g.Var.Data[i] = rng.Float64() * 0.5
 		}
-		got, err := l.PropagateMoments(g, f)
+		got, err := l.PropagateMomentsKernel(g, core.NewActKernel(f))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestConvMomentsStrideGreaterThanKernel(t *testing.T) {
 	if want.Steps != 3 {
 		t.Fatalf("out steps = %d, want 3", want.Steps)
 	}
-	g, err := l.PropagateMoments(DeterministicSeq(x), piecewise.Identity())
+	g, err := l.PropagateMomentsKernel(DeterministicSeq(x), core.NewActKernel(piecewise.Identity()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestConvMomentsKeepOneVariance(t *testing.T) {
 	g := NewGaussianSeq(1, 1)
 	g.Mean.Set(0, 0, 1e9)
 	g.Var.Set(0, 0, 1.0)
-	out, err := l.PropagateMoments(g, piecewise.Identity())
+	out, err := l.PropagateMomentsKernel(g, core.NewActKernel(piecewise.Identity()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,12 @@ func TestConvMomentsShapeValidation(t *testing.T) {
 	}
 	// Variance sequence shorter than the mean sequence.
 	g := GaussianSeq{Mean: NewSeq(5, 2), Var: NewSeq(3, 2)}
-	if _, err := l.PropagateMoments(g, piecewise.Identity()); !errors.Is(err, ErrConfig) {
+	if _, err := l.PropagateMomentsKernel(g, core.NewActKernel(piecewise.Identity())); !errors.Is(err, ErrConfig) {
 		t.Errorf("short var err = %v, want ErrConfig", err)
 	}
 	// Nil variance.
 	g = GaussianSeq{Mean: NewSeq(5, 2)}
-	if _, err := l.PropagateMoments(g, piecewise.Identity()); !errors.Is(err, ErrConfig) {
+	if _, err := l.PropagateMomentsKernel(g, core.NewActKernel(piecewise.Identity())); !errors.Is(err, ErrConfig) {
 		t.Errorf("nil var err = %v, want ErrConfig", err)
 	}
 }
@@ -150,38 +150,6 @@ func TestConvKernelDispatch(t *testing.T) {
 		_, rect := act.Rectifier()
 		if net.kernels[i].Exact() != rect {
 			t.Errorf("conv layer %d (%v): exact = %v, want %v", i, act, net.kernels[i].Exact(), rect)
-		}
-	}
-}
-
-// TestConvPWLWrapperBitIdentical pins that the PWL-typed PropagateMoments
-// wrapper and the kernel path agree bit-for-bit, so existing callers see no
-// numeric change from the promotion.
-func TestConvPWLWrapperBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	l, err := NewConv1D(3, 4, 2, 2, nn.ActReLU, 0.7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGaussianSeq(11, 4)
-	for i := range g.Mean.Data {
-		g.Mean.Data[i] = rng.NormFloat64() * 2
-		g.Var.Data[i] = rng.Float64()
-	}
-	f := piecewise.ReLU()
-	a, err := l.PropagateMoments(g, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := l.PropagateMomentsKernel(g, core.NewActKernel(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Mean.Data {
-		if math.Float64bits(a.Mean.Data[i]) != math.Float64bits(b.Mean.Data[i]) ||
-			math.Float64bits(a.Var.Data[i]) != math.Float64bits(b.Var.Data[i]) {
-			t.Fatalf("elem %d: wrapper (%v,%v) != kernel (%v,%v)", i,
-				a.Mean.Data[i], a.Var.Data[i], b.Mean.Data[i], b.Var.Data[i])
 		}
 	}
 }

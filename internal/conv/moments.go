@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
-	"github.com/apdeepsense/apdeepsense/internal/piecewise"
 )
 
-// PropagateMoments pushes a Gaussian sequence through the convolution with
-// channel dropout in closed form — the convolutional analogue of the paper's
-// eqs. 9–10, derived channel-wise because the Bernoulli mask is shared
-// across time within a channel:
+// PropagateMomentsKernel pushes a Gaussian sequence through the
+// convolution with channel dropout in closed form — the convolutional
+// analogue of the paper's eqs. 9–10, derived channel-wise because the
+// Bernoulli mask is shared across time within a channel:
 //
 //	a[t,c,o]  = Σ_k x[t·s+k, c] W[k,c,o]          (Gaussian partial sum)
 //	μ_a       = Σ_k μ_x W,   σ_a² = Σ_k σ_x² W²
@@ -18,20 +17,10 @@ import (
 //	E[y]      = b + Σ_c p·μ_a
 //	Var[y]    = Σ_c ((μ_a² + σ_a²)p − μ_a²p²)
 //
-// The activation is then applied element-wise through the PWL moment
-// machinery (eqs. 12–26) with the function given by act. This PWL-typed
-// entry point is kept for callers that carry their own piecewise functions;
-// Net resolves kernels once (including the exact rectifier backend) and
-// uses PropagateMomentsKernel.
-func (l *Conv1D) PropagateMoments(g GaussianSeq, act *piecewise.Func) (GaussianSeq, error) {
-	return l.PropagateMomentsKernel(g, core.NewActKernel(act))
-}
-
-// PropagateMomentsKernel is PropagateMoments against a prebuilt
-// activation-moment kernel — the first-class path Net serves on. For PWL
-// kernels it is bit-identical to PropagateMoments (the kernel reproduces
-// core.ActivationMoments exactly); exact kernels dispatch rectifier layers
-// to the closed-form moments.
+// The activation then runs element-wise through the prebuilt
+// activation-moment kernel ak (eqs. 12–26 for PWL kernels; exact kernels
+// dispatch rectifier layers to the closed-form moments). Net resolves its
+// kernels once and serves on this path.
 //
 // Two numeric edge cases are handled explicitly rather than through the
 // generic dropout algebra:

@@ -2,14 +2,16 @@
 // IoT deployment holds a long-lived streaming session — its own sliding
 // window ring, online standardization moments, and drift-gating state —
 // inside a compact struct-of-arrays arena designed to keep millions of
-// sessions resident on one node. Ingested samples window exactly as
-// stream.Windower/stream.Pipeline would; completed windows run the model's
-// batched uncertainty path; and the predictive uncertainty is turned into a
-// per-device accept/escalate verdict by surprisal-then-calibrate gating: the
-// mean predictive standard deviation is z-scored against the device's own
-// running surprisal moments, mapped through a fleet-level monotone
-// (isotonic) calibrator to an actionable score in [0,1], and thresholded
-// with escalate-after-N / readmit-after-M hysteresis.
+// sessions resident on one node. Each slot runs the stream package's
+// pipeline steps (stream.Slide, stats.WelfordAdd and stream.Standardize,
+// stream.MeanStd, stream.Hysteresis) on its own slices; completed windows
+// run the model's batched uncertainty path; and the predictive uncertainty
+// is turned into a per-device accept/escalate verdict by
+// surprisal-then-calibrate gating: the mean predictive standard deviation
+// is z-scored against the device's own running surprisal moments, mapped
+// through a fleet-level monotone (isotonic) calibrator to an actionable
+// score in [0,1], and thresholded with escalate-after-N / readmit-after-M
+// hysteresis.
 package session
 
 import (

@@ -10,6 +10,7 @@ import (
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
 	"github.com/apdeepsense/apdeepsense/internal/hashkey"
+	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/stream"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
@@ -37,15 +38,15 @@ type PredictBatchFunc func(ctx context.Context, rows []tensor.Vector) ([]core.Ga
 // Config tunes a Manager. The zero value is invalid: Channels, Length, and
 // Stride are required; every other field has the default noted on it.
 type Config struct {
-	// Channels, Length, Stride shape the per-session sliding window exactly
-	// as stream.NewWindower: Length-sample windows over Channels-channel
+	// Channels, Length, Stride shape the per-session sliding window (the
+	// stream.Slide cut): Length-sample windows over Channels-channel
 	// samples, emitted every Stride samples.
 	Channels int
 	Length   int
 	Stride   int
 	// Standardize enables per-session online standardization of completed
-	// windows (Observe-then-Apply over the flattened window vector, the
-	// stream.Pipeline order) before prediction.
+	// windows before prediction: stats.WelfordAdd, then stream.Standardize,
+	// over the flattened window vector.
 	Standardize bool
 	// WarmupWindows is how many windows a session must complete before its
 	// surprisal z-score participates in gating (its own moments are too raw
@@ -56,11 +57,11 @@ type Config struct {
 	// counts as over-budget for the hysteresis gate. In (0, 1]; defaults
 	// to 0.9 (about 4.2 sigma under DefaultCalibrator).
 	DriftThreshold float64
-	// EscalateAfter / ReadmitAfter are the per-session gate hysteresis,
-	// mirroring stream.NewGateWithHysteresis: the verdict flips to Escalate
-	// only after EscalateAfter consecutive over-budget windows and returns
-	// to Accept only after ReadmitAfter consecutive within-budget windows.
-	// Both default to 1 (stateless gating).
+	// EscalateAfter / ReadmitAfter are the per-session stream.Hysteresis
+	// depths: the verdict flips to Escalate only after EscalateAfter
+	// consecutive over-budget windows and returns to Accept only after
+	// ReadmitAfter consecutive within-budget windows. Both default to 1
+	// (stateless gating).
 	EscalateAfter int
 	ReadmitAfter  int
 	// Shards is the number of lock shards (power of two, max 65536). Every
@@ -133,7 +134,7 @@ type Verdict struct {
 	// Pred is the model's predictive distribution for the window.
 	Pred core.GaussianVec
 	// MeanStd is the mean per-dimension predictive standard deviation — the
-	// raw surprisal s the gate scored.
+	// raw surprisal s the gate scored (stream.MeanStd: +Inf when Degenerate).
 	MeanStd float64
 	// Z is s standardized against this device's own surprisal history
 	// (0 during warmup).
@@ -142,8 +143,8 @@ type Verdict struct {
 	Score float64
 	// Decision is Accept or Escalate after hysteresis.
 	Decision stream.Decision
-	// Degenerate marks a non-finite prediction, which escalates immediately
-	// regardless of hysteresis (the stream.Gate contract).
+	// Degenerate marks a prediction with no dimensions or a non-finite σ,
+	// which escalates immediately regardless of hysteresis.
 	Degenerate bool
 }
 
@@ -172,20 +173,16 @@ type shard struct {
 
 	// Per-slot state. Scalars are one entry per slot; vector state is
 	// winDim entries per slot at slot*winDim.
-	dev     []string  // device ID ("" when free)
-	gen     []uint32  // bumped on free; detects reuse across unlock windows
-	count   []uint64  // samples pushed (windower count)
-	ring    []float64 // window ring, winDim per slot
-	stdN    []int64   // standardizer observation count
-	stdMean []float64 // standardizer running mean, winDim per slot
-	stdM2   []float64 // standardizer running M2, winDim per slot
-	surN    []int64   // surprisal observation count
-	surMean []float64 // surprisal running mean
-	surM2   []float64 // surprisal running M2
-	overN   []uint32  // consecutive over-budget windows
-	underN  []uint32  // consecutive within-budget windows
-	latched []bool    // hysteresis state: true = escalating
-	touch   []int64   // last ingest, unix nanos
+	dev     []string            // device ID ("" when free)
+	gen     []uint32            // bumped on free; detects reuse across unlock windows
+	count   []uint64            // samples pushed (windower count)
+	ring    []float64           // window ring, winDim per slot
+	stdN    []int64             // standardizer observation count
+	stdMean []float64           // standardizer running mean, winDim per slot
+	stdM2   []float64           // standardizer running M2, winDim per slot
+	sur     []stats.Welford     // surprisal moments
+	latch   []stream.Hysteresis // gate streaks and latch
+	touch   []int64             // last ingest, unix nanos
 
 	// Idle-eviction timing wheel: wheelPos is the bucket a slot currently
 	// hangs in (-1 when idle eviction is off or the slot is free), prev and
@@ -292,12 +289,8 @@ func (sh *shard) growLocked(winDim int) int32 {
 	sh.stdN = append(sh.stdN, 0)
 	sh.stdMean = append(sh.stdMean, make([]float64, winDim)...)
 	sh.stdM2 = append(sh.stdM2, make([]float64, winDim)...)
-	sh.surN = append(sh.surN, 0)
-	sh.surMean = append(sh.surMean, 0)
-	sh.surM2 = append(sh.surM2, 0)
-	sh.overN = append(sh.overN, 0)
-	sh.underN = append(sh.underN, 0)
-	sh.latched = append(sh.latched, false)
+	sh.sur = append(sh.sur, stats.Welford{})
+	sh.latch = append(sh.latch, stream.Hysteresis{})
 	sh.touch = append(sh.touch, 0)
 	sh.wheelPos = append(sh.wheelPos, -1)
 	sh.prev = append(sh.prev, -1)
@@ -320,12 +313,8 @@ func (sh *shard) allocLocked(deviceID string, winDim int) int32 {
 		}
 		sh.count[slot] = 0
 		sh.stdN[slot] = 0
-		sh.surN[slot] = 0
-		sh.surMean[slot] = 0
-		sh.surM2[slot] = 0
-		sh.overN[slot] = 0
-		sh.underN[slot] = 0
-		sh.latched[slot] = false
+		sh.sur[slot] = stats.Welford{}
+		sh.latch[slot] = stream.Hysteresis{}
 	} else {
 		slot = sh.growLocked(winDim)
 	}
@@ -443,78 +432,31 @@ func (m *Manager) Ingest(ctx context.Context, deviceID string, sample []float64)
 		sh.touch[slot] = m.cfg.Clock().UnixNano()
 	}
 
-	// Windower push, identical semantics to stream.Windower.Push on a ring
-	// stored at slot*winDim.
 	base := int(slot) * m.winDim
-	head := int(sh.count[slot] % uint64(m.cfg.Length))
-	copy(sh.ring[base+head*m.cfg.Channels:base+(head+1)*m.cfg.Channels], sample)
+	win := stream.Slide(sh.ring[base:base+m.winDim], sh.count[slot], sample, m.cfg.Length, m.cfg.Stride)
 	sh.count[slot]++
-	count := sh.count[slot]
 	m.ingested.Add(1)
 	m.cfg.Metrics.ingested()
-	if count < uint64(m.cfg.Length) || (count-uint64(m.cfg.Length))%uint64(m.cfg.Stride) != 0 {
+	if win == nil {
 		sh.mu.Unlock()
 		return Verdict{}, nil
 	}
-
-	// Window complete: materialize it oldest-first (time-major).
-	win := make([]float64, m.winDim)
-	headAfter := int(count % uint64(m.cfg.Length))
-	for i := 0; i < m.cfg.Length; i++ {
-		src := (headAfter + i) % m.cfg.Length
-		copy(win[i*m.cfg.Channels:(i+1)*m.cfg.Channels], sh.ring[base+src*m.cfg.Channels:base+(src+1)*m.cfg.Channels])
-	}
-	x := win
 	if m.cfg.Standardize {
-		// Observe-then-Apply, the stream.Pipeline order, over the same
-		// Welford recurrence as stats.VecWelford.
-		sh.stdN[slot]++
-		inv := 1.0 / float64(sh.stdN[slot])
-		for i := 0; i < m.winDim; i++ {
-			delta := win[i] - sh.stdMean[base+i]
-			sh.stdMean[base+i] += delta * inv
-			sh.stdM2[base+i] += delta * (win[i] - sh.stdMean[base+i])
-		}
-		// Reciprocal-multiply like stats.VecWelford.Variance so the
-		// standardized window is bit-identical to the stream primitives.
-		vinv := 1.0 / float64(sh.stdN[slot])
-		x = make([]float64, m.winDim)
-		for i := 0; i < m.winDim; i++ {
-			variance := 0.0
-			if sh.stdN[slot] >= 2 {
-				variance = sh.stdM2[base+i] * vinv
-			}
-			sd := math.Sqrt(variance)
-			if sd < 1e-9 {
-				sd = 1
-			}
-			x[i] = (win[i] - sh.stdMean[base+i]) / sd
-		}
+		mean, m2 := sh.stdMean[base:base+m.winDim], sh.stdM2[base:base+m.winDim]
+		sh.stdN[slot] = stats.WelfordAdd(sh.stdN[slot], mean, m2, win)
+		stream.Standardize(sh.stdN[slot], mean, m2, win, win)
 	}
 	gen := sh.gen[slot]
 	sh.mu.Unlock()
 
-	pred, err := m.doPredict(ctx, tensor.Vector(x))
+	pred, err := m.doPredict(ctx, tensor.Vector(win))
 	if err != nil {
 		return Verdict{}, err
 	}
 	m.windows.Add(1)
 	m.cfg.Metrics.window()
 
-	// Surprisal: mean per-dimension predictive std.
-	var s float64
-	degenerate := pred.Dim() == 0
-	for i := range pred.Var {
-		sd := math.Sqrt(pred.Var[i])
-		if math.IsNaN(sd) || math.IsInf(sd, 0) {
-			degenerate = true
-			break
-		}
-		s += sd
-	}
-	if !degenerate {
-		s /= float64(pred.Dim())
-	}
+	s, degenerate := stream.MeanStd(pred)
 
 	sh.mu.Lock()
 	if cur, ok := sh.ids[deviceID]; !ok || cur != slot || sh.gen[slot] != gen {
@@ -523,55 +465,23 @@ func (m *Manager) Ingest(ctx context.Context, deviceID string, sample []float64)
 	}
 	// Surprisal-then-calibrate: z-score s against the device's own history
 	// (before folding s in), then map through the fleet calibrator.
-	z := 0.0
-	warm := sh.surN[slot] >= int64(m.cfg.WarmupWindows)
-	if warm && !degenerate {
-		variance := 0.0
-		if sh.surN[slot] >= 2 {
-			variance = sh.surM2[slot] / float64(sh.surN[slot])
-		}
-		sd := math.Sqrt(variance)
-		if sd < 1e-9 {
-			sd = 1
-		}
-		z = (s - sh.surMean[slot]) / sd
-	}
+	sur := &sh.sur[slot]
+	z, score := 0.0, 1.0
+	warm := sur.Count() >= int64(m.cfg.WarmupWindows)
 	if !degenerate {
-		sh.surN[slot]++
-		delta := s - sh.surMean[slot]
-		sh.surMean[slot] += delta / float64(sh.surN[slot])
-		sh.surM2[slot] += delta * (s - sh.surMean[slot])
-	}
-	score := m.cfg.Calibrator.Score(z)
-	if degenerate {
-		score = 1
-	}
-	over := degenerate || (warm && score >= m.cfg.DriftThreshold)
-	if over {
-		sh.underN[slot] = 0
-		sh.overN[slot]++
-		if sh.overN[slot] >= uint32(m.cfg.EscalateAfter) {
-			sh.latched[slot] = true
+		if warm {
+			z = stream.Z(s, sur.Mean(), sur.Variance())
 		}
-	} else {
-		sh.overN[slot] = 0
-		sh.underN[slot]++
-		if sh.underN[slot] >= uint32(m.cfg.ReadmitAfter) {
-			sh.latched[slot] = false
-		}
+		sur.Add(s)
+		score = m.cfg.Calibrator.Score(z)
 	}
-	decision := stream.Accept
-	switch {
-	case degenerate:
-		// Unassessable uncertainty escalates immediately, bypassing the
-		// escalate-side hysteresis (the stream.Gate contract).
-		decision = stream.Escalate
-		m.nonFinite.Add(1)
-	case sh.latched[slot]:
-		decision = stream.Escalate
-	}
+	over := warm && score >= m.cfg.DriftThreshold
+	decision := sh.latch[slot].Step(over, degenerate, m.cfg.EscalateAfter, m.cfg.ReadmitAfter)
 	sh.mu.Unlock()
 
+	if degenerate {
+		m.nonFinite.Add(1)
+	}
 	if decision == stream.Escalate {
 		m.escalated.Add(1)
 	} else {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
+	"github.com/apdeepsense/apdeepsense/internal/stats"
 	"github.com/apdeepsense/apdeepsense/internal/stream"
 	"github.com/apdeepsense/apdeepsense/internal/tensor"
 )
@@ -27,22 +28,6 @@ func testPredict(_ context.Context, rows []tensor.Vector) ([]core.GaussianVec, e
 		mean /= float64(len(x))
 		absMean /= float64(len(x))
 		out[i] = core.GaussianVec{Mean: []float64{mean}, Var: []float64{absMean * absMean}}
-	}
-	return out, nil
-}
-
-// echoPredict returns the window itself as the mean with unit variance, for
-// comparing the manager's windowing/standardization against the stream
-// primitives bit-for-bit.
-func echoPredict(_ context.Context, rows []tensor.Vector) ([]core.GaussianVec, error) {
-	out := make([]core.GaussianVec, len(rows))
-	for i, x := range rows {
-		mean := append([]float64(nil), x...)
-		vr := make([]float64, len(x))
-		for j := range vr {
-			vr[j] = 1
-		}
-		out[i] = core.GaussianVec{Mean: mean, Var: vr}
 	}
 	return out, nil
 }
@@ -77,56 +62,125 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// TestIngestMatchesStreamPrimitives: the arena's windowing and
-// standardization are bit-identical to stream.Windower +
-// stream.OnlineStandardizer — windows complete at the same pushes, and the
-// standardized window handed to the model matches the Pipeline order
-// (Observe then Apply) exactly.
+// TestIngestMatchesStreamPrimitives: the arena runs the stream primitives
+// on per-slot state, so the risk left is slot addressing. Two devices share
+// one shard and interleave their samples; one is evicted and re-created
+// mid-stream, so its second life runs on a recycled, reset slot. Each
+// device is replayed through its own stream.Windower,
+// stream.OnlineStandardizer, stats.Welford and stream.Hysteresis, and every
+// verdict must match bit for bit: the window cut, the standardized window
+// handed to the model, the surprisal z-score, the score and the decision.
 func TestIngestMatchesStreamPrimitives(t *testing.T) {
 	const channels, length, stride = 3, 8, 4
-	m, err := NewManager(Config{
+	cfg := Config{
 		Channels: channels, Length: length, Stride: stride,
-		Standardize: true, WarmupWindows: 1,
-	}, echoPredict)
+		Standardize: true, WarmupWindows: 2, DriftThreshold: 0.3,
+		EscalateAfter: 2, ReadmitAfter: 2, Shards: 1,
+	}
+	// The window itself as the mean and 1+x² as the variance, so the
+	// surprisal moves with the input.
+	predict := func(_ context.Context, rows []tensor.Vector) ([]core.GaussianVec, error) {
+		out := make([]core.GaussianVec, len(rows))
+		for i, x := range rows {
+			vr := make([]float64, len(x))
+			for j, v := range x {
+				vr[j] = 1 + v*v
+			}
+			out[i] = core.GaussianVec{Mean: append([]float64(nil), x...), Var: vr}
+		}
+		return out, nil
+	}
+	m, err := NewManager(cfg, predict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := stream.NewWindower(channels, length, stride)
-	if err != nil {
-		t.Fatal(err)
+	type device struct {
+		win   *stream.Windower
+		std   *stream.OnlineStandardizer
+		sur   stats.Welford
+		latch stream.Hysteresis
 	}
-	std, err := stream.NewOnlineStandardizer(channels * length)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 100; i++ {
-		sample := []float64{math.Sin(float64(i)), math.Cos(float64(2 * i)), float64(i%7) - 3}
-		v, err := m.Ingest(ctx, "fleet/dev0", sample)
+	fresh := func() *device {
+		win, err := stream.NewWindower(channels, length, stride)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, ready, err := win.Push(sample)
+		std, err := stream.NewOnlineStandardizer(channels * length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &device{win: win, std: std}
+	}
+	ids := []string{"fleet/dev0", "fleet/dev1"}
+	devs := []*device{fresh(), fresh()}
+	cal := DefaultCalibrator()
+	ctx := context.Background()
+	windows, escalated := 0, 0
+	for i := 0; i < 200; i++ {
+		if i == 79 {
+			// Mid-burst: the slot goes back dirty, with a latched gate.
+			if !devs[1].latch.Latched || !m.Evict(ids[1]) {
+				t.Fatalf("evict: device resident and latched = %v", devs[1].latch.Latched)
+			}
+			devs[1] = fresh()
+		}
+		k := i % 2
+		x := float64(i / 2)
+		scale := 1.0
+		if (i/2)%40 >= 30 {
+			scale = 25 // drift bursts
+		}
+		sample := []float64{scale * math.Sin(x+float64(k)), math.Cos(2 * x), float64(int(x)%7) - 3 + float64(k)}
+		v, err := m.Ingest(ctx, ids[k], sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := devs[k]
+		w, ready, err := d.win.Push(sample)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.Window != ready {
-			t.Fatalf("sample %d: manager window=%v, stream ready=%v", i, v.Window, ready)
+			t.Fatalf("sample %d (%s): manager window=%v, stream ready=%v", i, ids[k], v.Window, ready)
 		}
 		if !ready {
 			continue
 		}
-		if err := std.Observe(w); err != nil {
+		windows++
+		if err := d.std.Observe(w); err != nil {
 			t.Fatal(err)
 		}
-		x, err := std.Apply(w)
+		x0, err := d.std.Apply(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// echoPredict returns the standardized window as the mean.
-		if !bitsEqual(v.Pred.Mean, x) {
-			t.Fatalf("sample %d: standardized window diverged\n manager %v\n stream  %v", i, v.Pred.Mean, x)
+		if !bitsEqual(v.Pred.Mean, x0) {
+			t.Fatalf("sample %d (%s): standardized window diverged\n manager %v\n stream  %v", i, ids[k], v.Pred.Mean, x0)
 		}
+		pred, _ := predict(ctx, []tensor.Vector{x0})
+		s, degenerate := stream.MeanStd(pred[0])
+		z := 0.0
+		warm := d.sur.Count() >= int64(cfg.WarmupWindows)
+		if warm {
+			z = stream.Z(s, d.sur.Mean(), d.sur.Variance())
+		}
+		d.sur.Add(s)
+		score := cal.Score(z)
+		want := d.latch.Step(warm && score >= cfg.DriftThreshold, degenerate, cfg.EscalateAfter, cfg.ReadmitAfter)
+		if math.Float64bits(v.MeanStd) != math.Float64bits(s) || math.Float64bits(v.Z) != math.Float64bits(z) ||
+			math.Float64bits(v.Score) != math.Float64bits(score) || v.Decision != want {
+			t.Fatalf("sample %d (%s): verdict (s %v z %v score %v %v), want (%v %v %v %v)",
+				i, ids[k], v.MeanStd, v.Z, v.Score, v.Decision, s, z, score, want)
+		}
+		if want == stream.Escalate {
+			escalated++
+		}
+	}
+	if st := m.Stats(); st.Created != 3 || st.Windows != int64(windows) {
+		t.Fatalf("stats %+v: want 3 sessions created and %d windows", st, windows)
+	}
+	if escalated == 0 || escalated == windows {
+		t.Fatalf("%d of %d windows escalated: the gate was not exercised both ways", escalated, windows)
 	}
 }
 

@@ -21,6 +21,9 @@ import (
 	"io"
 	"math"
 	"time"
+
+	"github.com/apdeepsense/apdeepsense/internal/stats"
+	"github.com/apdeepsense/apdeepsense/internal/stream"
 )
 
 // ErrSnapshot matches (via errors.Is) every malformed-snapshot rejection.
@@ -150,12 +153,14 @@ func (m *Manager) appendSession(b []byte, sh *shard, dev string, slot int32) []b
 	for _, v := range sh.stdM2[base : base+m.winDim] {
 		b = appendF64(b, v)
 	}
-	b = appendU64(b, uint64(sh.surN[slot]))
-	b = appendF64(b, sh.surMean[slot])
-	b = appendF64(b, sh.surM2[slot])
-	b = appendU32(b, sh.overN[slot])
-	b = appendU32(b, sh.underN[slot])
-	if sh.latched[slot] {
+	surN, surMean, surM2 := sh.sur[slot].State()
+	b = appendU64(b, uint64(surN))
+	b = appendF64(b, surMean)
+	b = appendF64(b, surM2)
+	latch := sh.latch[slot]
+	b = appendU32(b, latch.OverN)
+	b = appendU32(b, latch.UnderN)
+	if latch.Latched {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
@@ -338,6 +343,10 @@ func (m *Manager) Restore(r io.Reader) (SnapshotInfo, error) {
 		if math.IsNaN(surMean) || math.IsInf(surMean, 0) || math.IsNaN(surM2) || math.IsInf(surM2, 0) || surM2 < 0 {
 			return SnapshotInfo{}, fmt.Errorf("session: restore: %s: invalid surprisal moments: %w", dev, ErrSnapshot)
 		}
+		sur, err := stats.WelfordFromState(int64(surN), surMean, surM2)
+		if err != nil {
+			return SnapshotInfo{}, fmt.Errorf("session: restore: %s: %v: %w", dev, err, ErrSnapshot)
+		}
 
 		sh := m.shardFor(dev)
 		sh.mu.Lock()
@@ -352,12 +361,8 @@ func (m *Manager) Restore(r io.Reader) (SnapshotInfo, error) {
 		sh.stdN[slot] = int64(stdN)
 		copy(sh.stdMean[base:base+m.winDim], stdMean)
 		copy(sh.stdM2[base:base+m.winDim], stdM2)
-		sh.surN[slot] = int64(surN)
-		sh.surMean[slot] = surMean
-		sh.surM2[slot] = surM2
-		sh.overN[slot] = overN
-		sh.underN[slot] = underN
-		sh.latched[slot] = latched[0] == 1
+		sh.sur[slot] = sur
+		sh.latch[slot] = stream.Hysteresis{OverN: overN, UnderN: underN, Latched: latched[0] == 1}
 		sh.touch[slot] = int64(touch)
 		if m.idleTicks > 0 {
 			m.wheelTouchLocked(sh, slot, nowTick)

@@ -47,20 +47,20 @@ func (w *Welford) SampleVariance() float64 {
 // Std returns the population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
 
-// Merge folds another accumulator into w (parallel variance combination).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
+// State returns the accumulator's raw streaming state: the observation
+// count, the running mean and the M2 sum. With WelfordFromState it is the
+// persistence contract: a restored accumulator continues the stream
+// bit-for-bit where the snapshot left off.
+func (w *Welford) State() (n int64, mean, m2 float64) { return w.n, w.mean, w.m2 }
+
+// WelfordFromState rebuilds an accumulator from State output. It rejects a
+// negative count; deeper validation (finiteness, non-negative M2) belongs to
+// the serialization layer that owns the wire format.
+func WelfordFromState(n int64, mean, m2 float64) (Welford, error) {
+	if n < 0 {
+		return Welford{}, fmt.Errorf("stats: welford state count %d < 0", n)
 	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	w.n = n
+	return Welford{n: n, mean: mean, m2: m2}, nil
 }
 
 // VecWelford tracks streaming per-element mean and variance for fixed-length
@@ -86,69 +86,21 @@ func (w *VecWelford) Count() int64 { return w.n }
 // Add folds one vector observation in. x must have length Dim(); extra or
 // missing elements indicate a caller bug and are ignored beyond the shorter
 // length to keep the hot path branch-free — callers validate shapes upstream.
-func (w *VecWelford) Add(x []float64) {
-	w.n++
-	inv := 1.0 / float64(w.n)
-	for i := range w.mean {
-		delta := x[i] - w.mean[i]
-		w.mean[i] += delta * inv
-		w.m2[i] += delta * (x[i] - w.mean[i])
-	}
-}
+func (w *VecWelford) Add(x []float64) { w.n = WelfordAdd(w.n, w.mean, w.m2, x) }
 
-// Merge folds another accumulator into w (the parallel variance combination
-// of Welford.Merge, element-wise). Both accumulators must track the same
-// dimension; merging is how parallel samplers (mcdrop worker streams)
-// combine their per-chunk moments without storing samples.
-func (w *VecWelford) Merge(o *VecWelford) {
-	if o == nil || o.n == 0 {
-		return
+// WelfordAdd is VecWelford's fold over moments the caller holds: it folds x
+// into the per-element running means and M2 sums of n observations and
+// returns the new count. The stream standardizer and every resident
+// session keep their moments this way.
+func WelfordAdd(n int64, mean, m2, x []float64) int64 {
+	n++
+	inv := 1.0 / float64(n)
+	for i := range mean {
+		delta := x[i] - mean[i]
+		mean[i] += delta * inv
+		m2[i] += delta * (x[i] - mean[i])
 	}
-	if w.n == 0 {
-		w.n = o.n
-		copy(w.mean, o.mean)
-		copy(w.m2, o.m2)
-		return
-	}
-	n := w.n + o.n
-	wn, on := float64(w.n), float64(o.n)
-	for i := range w.mean {
-		delta := o.mean[i] - w.mean[i]
-		w.m2[i] += o.m2[i] + delta*delta*wn*on/float64(n)
-		w.mean[i] += delta * on / float64(n)
-	}
-	w.n = n
-}
-
-// State returns the accumulator's raw streaming state — the observation
-// count and the per-element running means and M2 sums — as copies. Together
-// with VecWelfordFromState it is the persistence contract: a restored
-// accumulator continues the stream bit-for-bit where the snapshot left off
-// (Add and Merge touch only these three fields).
-func (w *VecWelford) State() (n int64, mean, m2 []float64) {
-	mean = make([]float64, len(w.mean))
-	m2 = make([]float64, len(w.m2))
-	copy(mean, w.mean)
-	copy(m2, w.m2)
-	return w.n, mean, m2
-}
-
-// VecWelfordFromState rebuilds an accumulator from State output. The slices
-// are copied. It rejects mismatched lengths and a negative count; deeper
-// validation (finiteness, non-negative M2) belongs to the serialization
-// layer that owns the wire format.
-func VecWelfordFromState(n int64, mean, m2 []float64) (*VecWelford, error) {
-	if len(mean) != len(m2) {
-		return nil, fmt.Errorf("stats: welford state mean len %d != m2 len %d", len(mean), len(m2))
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("stats: welford state count %d < 0", n)
-	}
-	w := NewVecWelford(len(mean))
-	w.n = n
-	copy(w.mean, mean)
-	copy(w.m2, m2)
-	return w, nil
+	return n
 }
 
 // Mean returns the running per-element mean. The returned slice is a copy.

@@ -202,80 +202,28 @@ func TestWelfordEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
+// TestWelfordState: an accumulator rebuilt from State continues the stream
+// bit for bit, and a negative count is rejected.
+func TestWelfordState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var all, a, b Welford
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 1
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
+	var live Welford
+	for i := 0; i < 100; i++ {
+		live.Add(rng.NormFloat64()*3 + 1)
 	}
-	a.Merge(b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), all.Count())
+	restored, err := WelfordFromState(live.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-10 {
-		t.Errorf("merged mean %v, want %v", a.Mean(), all.Mean())
+	for i := 0; i < 100; i++ {
+		x := rng.NormFloat64()
+		live.Add(x)
+		restored.Add(x)
 	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-10 {
-		t.Errorf("merged variance %v, want %v", a.Variance(), all.Variance())
+	if restored != live {
+		t.Fatalf("restored accumulator diverged: %+v vs %+v", restored, live)
 	}
-	// Merge into empty.
-	var empty Welford
-	empty.Merge(all)
-	if empty.Count() != all.Count() || empty.Mean() != all.Mean() {
-		t.Error("merge into empty lost state")
-	}
-	// Merge empty is a no-op.
-	before := all
-	all.Merge(Welford{})
-	if all != before {
-		t.Error("merging empty changed state")
-	}
-}
-
-func TestVecWelfordMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	all := NewVecWelford(3)
-	chunks := []*VecWelford{NewVecWelford(3), NewVecWelford(3), NewVecWelford(3)}
-	for i := 0; i < 900; i++ {
-		x := []float64{rng.NormFloat64() * 2, rng.Float64()*10 - 5, rng.ExpFloat64()}
-		all.Add(x)
-		chunks[i%3].Add(x)
-	}
-	merged := NewVecWelford(3)
-	for _, c := range chunks {
-		merged.Merge(c)
-	}
-	if merged.Count() != all.Count() {
-		t.Fatalf("merged count %d, want %d", merged.Count(), all.Count())
-	}
-	gm, gv := merged.Mean(), merged.SampleVariance()
-	wm, wv := all.Mean(), all.SampleVariance()
-	for j := 0; j < 3; j++ {
-		if math.Abs(gm[j]-wm[j]) > 1e-10 {
-			t.Errorf("dim %d: merged mean %v, want %v", j, gm[j], wm[j])
-		}
-		if math.Abs(gv[j]-wv[j]) > 1e-10 {
-			t.Errorf("dim %d: merged variance %v, want %v", j, gv[j], wv[j])
-		}
-	}
-	// Merge into empty copies the source state.
-	empty := NewVecWelford(3)
-	empty.Merge(all)
-	if empty.Count() != all.Count() || empty.Mean()[1] != all.Mean()[1] {
-		t.Error("merge into empty lost state")
-	}
-	// Merging nil or empty is a no-op.
-	before := merged.Mean()
-	merged.Merge(nil)
-	merged.Merge(NewVecWelford(3))
-	if merged.Mean()[0] != before[0] || merged.Count() != all.Count() {
-		t.Error("merging nil/empty changed state")
+	if _, err := WelfordFromState(-1, 0, 0); err == nil {
+		t.Fatal("negative count accepted")
 	}
 }
 

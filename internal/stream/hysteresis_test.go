@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/apdeepsense/apdeepsense/internal/core"
@@ -156,5 +157,70 @@ func TestGateHysteresisValidation(t *testing.T) {
 	}
 	if _, err := NewGateWithHysteresis(0, 1, 1); !errors.Is(err, ErrConfig) {
 		t.Fatal("zero maxMeanStd accepted")
+	}
+}
+
+// TestHysteresisStepTable drives the shared latch over every (N, M) in
+// {1,2,3}² against a reference that reads the window history instead of
+// streak counters: the latch sets when the last N windows were all over
+// budget (degenerate ones included), clears when the last M were all
+// within it, and holds otherwise; a degenerate window escalates whatever
+// the latch says. The fixed prefix puts a degenerate window on an
+// unlatched and on a latched stream; random windows follow.
+func TestHysteresisStepTable(t *testing.T) {
+	const (
+		under = iota
+		over
+		degen
+	)
+	prefix := []int{degen, under, over, over, over, degen, under, over, under, under, under, degen, degen, degen}
+	rng := rand.New(rand.NewSource(7))
+	for n := 1; n <= 3; n++ {
+		for m := 1; m <= 3; m++ {
+			seq := append([]int(nil), prefix...)
+			for i := 0; i < 200; i++ {
+				seq = append(seq, rng.Intn(3))
+			}
+			var h Hysteresis
+			latched := false
+			sawDegenLatched, sawDegenFree := false, false
+			for i, w := range seq {
+				if w == degen {
+					if latched {
+						sawDegenLatched = true
+					} else {
+						sawDegenFree = true
+					}
+				}
+				all := func(k int, pred func(int) bool) bool {
+					if i+1 < k {
+						return false
+					}
+					for _, x := range seq[i+1-k : i+1] {
+						if !pred(x) {
+							return false
+						}
+					}
+					return true
+				}
+				switch {
+				case all(n, func(x int) bool { return x != under }):
+					latched = true
+				case all(m, func(x int) bool { return x == under }):
+					latched = false
+				}
+				want := Accept
+				if latched || w == degen {
+					want = Escalate
+				}
+				if got := h.Step(w == over, w == degen, n, m); got != want || h.Latched != latched {
+					t.Fatalf("N=%d M=%d window %d (%v): got %v latched=%v, want %v latched=%v",
+						n, m, i, seq[:i+1], got, h.Latched, want, latched)
+				}
+			}
+			if !sawDegenLatched || !sawDegenFree {
+				t.Fatalf("N=%d M=%d: degenerate window seen latched=%v, unlatched=%v", n, m, sawDegenLatched, sawDegenFree)
+			}
+		}
 	}
 }

@@ -35,8 +35,7 @@ type Windower struct {
 	stride   int
 
 	buf   []float64 // ring of length*channels values
-	head  int       // next write position (in samples)
-	count int       // total samples pushed
+	count uint64    // total samples pushed
 }
 
 // NewWindower builds a windower emitting length-sample windows every stride
@@ -57,23 +56,34 @@ func (w *Windower) Push(sample []float64) ([]float64, bool, error) {
 	if len(sample) != w.channels {
 		return nil, false, fmt.Errorf("sample has %d channels, want %d: %w", len(sample), w.channels, ErrConfig)
 	}
-	copy(w.buf[w.head*w.channels:(w.head+1)*w.channels], sample)
-	w.head = (w.head + 1) % w.length
+	win := Slide(w.buf, w.count, sample, w.length, w.stride)
 	w.count++
-	if w.count < w.length || (w.count-w.length)%w.stride != 0 {
-		return nil, false, nil
-	}
-	out := make([]float64, w.length*w.channels)
-	// Oldest sample sits at head (just overwritten position is next write).
-	for i := 0; i < w.length; i++ {
-		src := (w.head + i) % w.length
-		copy(out[i*w.channels:(i+1)*w.channels], w.buf[src*w.channels:(src+1)*w.channels])
-	}
-	return out, true, nil
+	return win, win != nil, nil
 }
 
 // Count returns the number of samples pushed.
-func (w *Windower) Count() int { return w.count }
+func (w *Windower) Count() int { return int(w.count) }
+
+// Slide is the window cut behind Windower and the session arena. ring holds
+// the last length samples of len(sample) channels each, and count samples
+// have been pushed so far. Slide writes sample as number count+1 at slot
+// count mod length. When that completes a window (at the length-th sample
+// and every stride samples after), it returns the ring unrolled
+// oldest-first into a new slice; otherwise it returns nil.
+func Slide(ring []float64, count uint64, sample []float64, length, stride int) []float64 {
+	ch := len(sample)
+	head := int(count%uint64(length)) * ch
+	copy(ring[head:head+ch], sample)
+	count++
+	if count < uint64(length) || (count-uint64(length))%uint64(stride) != 0 {
+		return nil
+	}
+	// The oldest sample sits at the next write position.
+	head = int(count%uint64(length)) * ch
+	out := make([]float64, len(ring))
+	copy(out[copy(out, ring[head:]):], ring[:head])
+	return out
+}
 
 // OnlineStandardizer tracks running per-dimension mean and variance
 // (Welford) and standardizes vectors against them — for deployments where
@@ -84,8 +94,9 @@ func (w *Windower) Count() int { return w.count }
 // goroutines sharing one drift tracker). Apply standardizes against a
 // consistent snapshot of the statistics at the time of the call.
 type OnlineStandardizer struct {
-	mu  sync.Mutex
-	acc *stats.VecWelford
+	mu       sync.Mutex
+	n        int64
+	mean, m2 []float64
 }
 
 // NewOnlineStandardizer tracks dim-dimensional vectors.
@@ -93,16 +104,16 @@ func NewOnlineStandardizer(dim int) (*OnlineStandardizer, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("dim %d: %w", dim, ErrConfig)
 	}
-	return &OnlineStandardizer{acc: stats.NewVecWelford(dim)}, nil
+	return &OnlineStandardizer{mean: make([]float64, dim), m2: make([]float64, dim)}, nil
 }
 
 // Observe folds a raw vector into the running statistics.
 func (s *OnlineStandardizer) Observe(x []float64) error {
-	if len(x) != s.acc.Dim() {
-		return fmt.Errorf("dim %d, want %d: %w", len(x), s.acc.Dim(), ErrConfig)
+	if len(x) != len(s.mean) {
+		return fmt.Errorf("dim %d, want %d: %w", len(x), len(s.mean), ErrConfig)
 	}
 	s.mu.Lock()
-	s.acc.Add(x)
+	s.n = stats.WelfordAdd(s.n, s.mean, s.m2, x)
 	s.mu.Unlock()
 	return nil
 }
@@ -110,21 +121,13 @@ func (s *OnlineStandardizer) Observe(x []float64) error {
 // Apply returns the standardized copy of x using the statistics so far.
 // Dimensions with (near-)zero variance are centered but not scaled.
 func (s *OnlineStandardizer) Apply(x []float64) ([]float64, error) {
-	if len(x) != s.acc.Dim() {
-		return nil, fmt.Errorf("dim %d, want %d: %w", len(x), s.acc.Dim(), ErrConfig)
+	if len(x) != len(s.mean) {
+		return nil, fmt.Errorf("dim %d, want %d: %w", len(x), len(s.mean), ErrConfig)
 	}
-	s.mu.Lock()
-	mean := s.acc.Mean()
-	variance := s.acc.Variance()
-	s.mu.Unlock()
 	out := make([]float64, len(x))
-	for i := range x {
-		sd := math.Sqrt(variance[i])
-		if sd < 1e-9 {
-			sd = 1
-		}
-		out[i] = (x[i] - mean[i]) / sd
-	}
+	s.mu.Lock()
+	Standardize(s.n, s.mean, s.m2, x, out)
+	s.mu.Unlock()
 	return out, nil
 }
 
@@ -132,7 +135,34 @@ func (s *OnlineStandardizer) Apply(x []float64) ([]float64, error) {
 func (s *OnlineStandardizer) Count() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.acc.Count()
+	return s.n
+}
+
+// Standardize is the standardizer step behind OnlineStandardizer and the
+// session arena: it writes x standardized against the moments
+// stats.WelfordAdd keeps into out. Each dimension's population variance is
+// m2·(1/n), 0 before the second observation, and Z scales by its square
+// root. out may alias x.
+func Standardize(n int64, mean, m2, x, out []float64) {
+	inv := 1.0 / float64(n)
+	for i := range mean {
+		variance := 0.0
+		if n >= 2 {
+			variance = m2[i] * inv
+		}
+		out[i] = Z(x[i], mean[i], variance)
+	}
+}
+
+// Z standardizes x against a mean and a variance. A standard deviation
+// below 1e-9 counts as 1, so a constant dimension is centered but not
+// scaled.
+func Z(x, mean, variance float64) float64 {
+	sd := math.Sqrt(variance)
+	if sd < 1e-9 {
+		sd = 1
+	}
+	return (x - mean) / sd
 }
 
 // Decision is the uncertainty gate's verdict for one prediction.
@@ -169,21 +199,21 @@ func (d Decision) String() string {
 // serving goroutines), and Stats always observes a consistent
 // (accepted, escalated, nonFinite) triple.
 //
-// The decision contract is explicit about degenerate inputs: a zero-dim
-// prediction (whose mean std would be 0/0 = NaN) and any non-finite
-// per-dimension variance escalate — uncertainty that cannot be assessed is
-// treated as unbounded, never silently accepted — and additionally increment
-// the nonFinite counter so the condition is visible in telemetry instead of
-// masquerading as ordinary high uncertainty.
+// The decision contract is explicit about degenerate inputs (MeanStd): a
+// zero-dim prediction and any non-finite per-dimension variance escalate —
+// uncertainty that cannot be assessed is treated as unbounded, never
+// silently accepted — and additionally increment the nonFinite counter so
+// the condition is visible in telemetry instead of masquerading as ordinary
+// high uncertainty.
 // A Gate may additionally carry escalate-after-N / readmit-after-M
-// hysteresis (NewGateWithHysteresis), mirroring the cluster health loop's
-// FailAfter/ReadmitAfter shape: the emitted decision only flips to Escalate
-// after N consecutive over-budget checks and only returns to Accept after M
-// consecutive within-budget checks, so a single noisy window cannot flap a
-// stream between accept and escalate. The default gate (NewGate) uses N=M=1,
-// which is exactly the stateless legacy behavior. A hysteresis gate carries
-// per-stream streak state, so share one only across checks that belong to
-// the same logical stream; the N=M=1 default remains freely shareable.
+// hysteresis (NewGateWithHysteresis, the Hysteresis latch): the emitted
+// decision only flips to Escalate after N consecutive over-budget checks and
+// only returns to Accept after M consecutive within-budget checks, so a
+// single noisy window cannot flap a stream between accept and escalate. The
+// default gate (NewGate) uses N=M=1, which is exactly the stateless legacy
+// behavior. A hysteresis gate carries per-stream streak state, so share one
+// only across checks that belong to the same logical stream; the N=M=1
+// default remains freely shareable.
 type Gate struct {
 	maxMeanStd    float64
 	escalateAfter int
@@ -193,9 +223,7 @@ type Gate struct {
 	accepted  int64
 	escalated int64
 	nonFinite int64
-	overN     int  // consecutive over-budget checks
-	underN    int  // consecutive within-budget checks
-	latched   bool // current hysteresis state: true = escalating
+	latch     Hysteresis
 }
 
 // NewGate accepts predictions whose mean per-dimension standard deviation is
@@ -220,59 +248,26 @@ func NewGateWithHysteresis(maxMeanStd float64, escalateAfter, readmitAfter int) 
 	return &Gate{maxMeanStd: maxMeanStd, escalateAfter: escalateAfter, readmitAfter: readmitAfter}, nil
 }
 
-// Check classifies one predictive distribution. Zero-dim predictions and
-// predictions with any non-finite variance escalate and are counted as
-// nonFinite (see the type comment): before this contract, 0/0 = NaN mean
-// std failed the <= comparison and escalated with no signal, and a NaN
-// variance did the same — indistinguishable from a legitimately uncertain
-// prediction in the gate's statistics.
-// Check also drives the hysteresis state machine: an over-budget check
-// extends the over-streak and latches Escalate once the streak reaches
-// escalateAfter; a within-budget check extends the under-streak and unlatches
-// once it reaches readmitAfter. Degenerate checks escalate IMMEDIATELY,
-// bypassing the escalate-side hysteresis (they still reset the under-streak
-// and extend the over-streak): hysteresis exists to absorb noise, and an
-// unassessable prediction is not noise — the never-silently-accept contract
-// above outranks flap damping.
+// Check classifies one predictive distribution: it is over budget when its
+// MeanStd exceeds the gate's bound, and the Hysteresis latch turns that
+// into the decision. Degenerate predictions escalate at once and are
+// counted as nonFinite (see the type comment).
 func (g *Gate) Check(pred core.GaussianVec) Decision {
-	var s float64
-	degenerate := pred.Dim() == 0
-	for i := range pred.Var {
-		sd := math.Sqrt(pred.Var[i])
-		if math.IsNaN(sd) || math.IsInf(sd, 0) {
-			degenerate = true
-			break
-		}
-		s += sd
-	}
-	over := degenerate || s/float64(pred.Dim()) > g.maxMeanStd
+	s, degenerate := MeanStd(pred)
+	over := s > g.maxMeanStd
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if over {
-		g.underN = 0
-		g.overN++
-		if g.overN >= g.escalateAfter {
-			g.latched = true
-		}
-	} else {
-		g.overN = 0
-		g.underN++
-		if g.underN >= g.readmitAfter {
-			g.latched = false
-		}
-	}
+	d := g.latch.Step(over, degenerate, g.escalateAfter, g.readmitAfter)
 	if degenerate {
-		g.escalated++
 		g.nonFinite++
-		return Escalate
 	}
-	if g.latched {
+	if d == Escalate {
 		g.escalated++
-		return Escalate
+	} else {
+		g.accepted++
 	}
-	g.accepted++
-	return Accept
+	return d
 }
 
 // Escalated reports whether the gate's hysteresis state is currently
@@ -280,7 +275,7 @@ func (g *Gate) Check(pred core.GaussianVec) Decision {
 func (g *Gate) Escalated() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.latched
+	return g.latch.Latched
 }
 
 // Stats returns the accept and escalate counts so far, plus how many of the
@@ -290,6 +285,60 @@ func (g *Gate) Stats() (accepted, escalated, nonFinite int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.accepted, g.escalated, g.nonFinite
+}
+
+// MeanStd is the uncertainty both gates score: the mean per-dimension
+// predictive standard deviation of pred. A prediction whose σ cannot be
+// assessed — zero dimensions, or any per-dimension variance whose square
+// root is not finite — is degenerate, and its mean σ is +Inf: unassessable
+// uncertainty counts as unbounded.
+func MeanStd(pred core.GaussianVec) (s float64, degenerate bool) {
+	if pred.Dim() == 0 {
+		return math.Inf(1), true
+	}
+	for _, v := range pred.Var {
+		sd := math.Sqrt(v)
+		if math.IsNaN(sd) || math.IsInf(sd, 0) {
+			return math.Inf(1), true
+		}
+		s += sd
+	}
+	return s / float64(pred.Dim()), false
+}
+
+// Hysteresis is one stream's escalate-after-N / readmit-after-M latch,
+// shared by Gate and every resident session. The zero value is an
+// accepting stream with empty streaks.
+type Hysteresis struct {
+	OverN   uint32 // consecutive over-budget windows
+	UnderN  uint32 // consecutive within-budget windows
+	Latched bool   // true while escalating
+}
+
+// Step folds one window into the latch and returns its decision. An
+// over-budget window extends the over-streak and latches once it reaches
+// escalateAfter; a within-budget window extends the under-streak and
+// unlatches once it reaches readmitAfter. A degenerate window counts as
+// over budget and escalates at once, bypassing the escalate-side streak:
+// hysteresis absorbs noise, and an unassessable prediction is not noise.
+func (h *Hysteresis) Step(over, degenerate bool, escalateAfter, readmitAfter int) Decision {
+	if over || degenerate {
+		h.UnderN = 0
+		h.OverN++
+		if int(h.OverN) >= escalateAfter {
+			h.Latched = true
+		}
+	} else {
+		h.OverN = 0
+		h.UnderN++
+		if int(h.UnderN) >= readmitAfter {
+			h.Latched = false
+		}
+	}
+	if degenerate || h.Latched {
+		return Escalate
+	}
+	return Accept
 }
 
 // Pipeline chains a windower, an optional online standardizer, an estimator,
@@ -318,9 +367,9 @@ func NewPipeline(win *Windower, std *OnlineStandardizer, est core.Estimator, gat
 	if win == nil || est == nil {
 		return nil, fmt.Errorf("windower and estimator are required: %w", ErrConfig)
 	}
-	if std != nil && std.acc.Dim() != win.length*win.channels {
+	if std != nil && len(std.mean) != win.length*win.channels {
 		return nil, fmt.Errorf("standardizer dim %d != window dim %d: %w",
-			std.acc.Dim(), win.length*win.channels, ErrConfig)
+			len(std.mean), win.length*win.channels, ErrConfig)
 	}
 	return &Pipeline{win: win, std: std, est: est, gate: gate}, nil
 }
